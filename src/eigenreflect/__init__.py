@@ -25,7 +25,6 @@ from .circuit import (
 from .completion import (
     CompletionError,
     CompletionResult,
-    ConditioningWarning,
     TrigPolynomial,
     completion_residual,
     factorize,
@@ -70,7 +69,6 @@ __all__ = [
     "ComplexPolynomial",
     "CompletionError",
     "CompletionResult",
-    "ConditioningWarning",
     "ControlledOracle",
     "Gate",
     "GateCounts",

@@ -8,8 +8,9 @@ whole-file atomic (temp file in the target directory, then rename).
 Given the same config and seed, outputs are byte-identical.
 
 Exit codes: 0 success (verify: bound met), 1 verify ran but the bound
-was violated, 2 configuration or input error, 3 completion failure,
-4 gap violation, 5 target phase absent from the spectrum.
+was violated (sweep: on some row), 2 configuration or input error,
+3 completion failure, 4 gap violation, 5 target phase absent from the
+spectrum, 6 sweep rows that failed to run (their result cells are empty).
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "EXIT_COMPLETION",
     "EXIT_GAP_VIOLATION",
     "EXIT_TARGET_ABSENT",
+    "EXIT_SWEEP_ROWS_FAILED",
     "JobConfig",
     "load_matrix",
     "save_matrix",
@@ -71,6 +73,7 @@ EXIT_CONFIG = 2
 EXIT_COMPLETION = 3
 EXIT_GAP_VIOLATION = 4
 EXIT_TARGET_ABSENT = 5
+EXIT_SWEEP_ROWS_FAILED = 6
 
 DEFAULT_COMPLETION_TOL = 1e-10
 
@@ -373,22 +376,24 @@ def cmd_sweep(cfg: JobConfig) -> int:
     buffer = io.StringIO()
     buffer.write(",".join(_SWEEP_COLUMNS) + "\n")
     cache: dict[tuple[float, float], tuple[Any, ...]] = {}
+    failed = violated = 0
     for delta in cfg.deltas:
         for epsilon in cfg.epsilons:
             for dim in cfg.dims:
                 for seed in cfg.seeds:
-                    buffer.write(
-                        ",".join(
-                            _sweep_row(cfg, delta, epsilon, dim, seed, theta, cache)
-                        )
-                        + "\n"
-                    )
+                    row = _sweep_row(cfg, delta, epsilon, dim, seed, theta, cache)
+                    buffer.write(",".join(row[name] for name in _SWEEP_COLUMNS) + "\n")
+                    failed += row["measured_error"] == ""
+                    violated += row["satisfied"] != "true"
     text = buffer.getvalue()
     if cfg.csv_out is None or cfg.csv_out == "-":
         sys.stdout.write(text)
     else:
         _write_atomic(cfg.csv_out, text)
-    return EXIT_OK
+    if failed:
+        print(f"sweep: {failed} row(s) failed to run", file=sys.stderr)
+        return EXIT_SWEEP_ROWS_FAILED
+    return EXIT_BOUND_VIOLATED if violated else EXIT_OK
 
 
 def _sweep_row(
@@ -399,7 +404,7 @@ def _sweep_row(
     seed: int,
     theta: float,
     cache: dict[tuple[float, float], tuple[Any, ...]],
-) -> list[str]:
+) -> dict[str, str]:
     start = time.perf_counter()
 
     def num(v: float) -> str:
@@ -436,7 +441,7 @@ def _sweep_row(
             file=sys.stderr,
         )
     cells["wall_time_ms"] = num((time.perf_counter() - start) * 1e3)
-    return [cells[name] for name in _SWEEP_COLUMNS]
+    return cells
 
 
 # ---------------------------------------------------------------- arguments
@@ -542,6 +547,8 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
     oversample = int(v.get("oversample", DEFAULT_OVERSAMPLE))
     completion_tol = float(v.get("completion_tol", DEFAULT_COMPLETION_TOL))
     theta = float(v.get("theta", 0.0))
+    if not math.isfinite(theta):
+        raise ValueError(f"--theta must be finite, got {theta!r}")
 
     gap: GapSpec | None = None
     if command in ("plan", "synth", "verify"):

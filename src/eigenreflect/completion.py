@@ -3,31 +3,29 @@
 For a polynomial p bounded by 1 in modulus on the unit circle, find a
 partner q of no larger degree with |p|^2 + |q|^2 = 1 on the circle.
 The defect 1 - |p|^2 is a nonnegative trigonometric polynomial, so it
-factors as a squared modulus; this module locates the factor
-numerically and certifies the residual on a dense grid.
+factors as a squared modulus; this module computes the factor with
+FFTs and certifies the residual on a dense grid.
 
-Primary route: roots.  The defect, premultiplied by z^d, is an ordinary
-polynomial whose roots come in reciprocal-conjugate pairs.  One
-representative per pair (inside the circle preferred; on-circle pairs
-collapsed to their cluster centroid, which restores the accuracy lost
-to double-root splitting) reassembles the factor up to a positive
-scale, fixed at the best-conditioned grid point.  A few Newton
-corrections in coefficient space then push the residual to machine
-noise.
-
-Fallback route: log-domain factorization on a dense grid, regularized
-against circle zeros, followed by the same Newton corrections.  Engaged
-automatically when root selection misbehaves or misses the tolerance.
+The averaging kernel's defect vanishes on the circle only at z = 1,
+where it has a double zero.  That zero is divided out exactly: the
+defect's value at 1 is pinned to zero, and two cumulative sums divide
+by |1 - z|^2.  What remains is strictly positive, so its log is smooth
+and the log-domain (Weiss) factorization applies: keep the causal half
+of the log's Fourier series, exponentiate, and truncate (Berntson and
+Sunderhauf, arXiv:2406.04246).  A defect with no zero at z = 1, such
+as that of a polynomial with peak modulus below 1, is factored the same
+way without the division.  Multiplying back by (1 - z) and reflecting
+the factor through the circle puts its roots in the closed disc, so
+the partner keeps the full degree with an order-one leading
+coefficient.  A defect that vanishes elsewhere on the circle, or dips
+below zero, factors poorly and is rejected by the residual check.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .poly import ComplexPolynomial, eval_on_circle_grid
 
@@ -35,7 +33,6 @@ __all__ = [
     "TrigPolynomial",
     "CompletionResult",
     "CompletionError",
-    "ConditioningWarning",
     "gram_polynomial",
     "factorize",
     "completion_residual",
@@ -43,24 +40,15 @@ __all__ = [
 
 _HERMITIAN_TOL = 1e-13
 _NONNEG_TOL = 1e-9
-_CIRCLE_BAND = 1e-7  # |.|-distance from the unit circle treated as "on"
-_CLUSTER_TOL = 1e-5  # chord distance that groups split multiple roots
-_NEWTON_ITERS = 2
-# the circle zero makes the autocorrelation Jacobian singular there, so
-# convergence from the log-domain start is linear, not quadratic
-_CEPSTRUM_NEWTON_ITERS = 40
+_ZERO_AT_ONE_TOL = 1e-12  # |defect(1)| below this, relative to max |coeff|
 
 
 class CompletionError(RuntimeError):
-    """No permitted factorization route met the requested residual."""
+    """The factorization missed the requested residual."""
 
     def __init__(self, message: str, achieved_residual: float) -> None:
         super().__init__(message)
         self.achieved_residual = achieved_residual
-
-
-class ConditioningWarning(UserWarning):
-    """Numerically ambiguous root structure (odd-sized on-circle cluster)."""
 
 
 @dataclass(frozen=True)
@@ -97,18 +85,14 @@ class TrigPolynomial:
         The imaginary parts are rounding noise by Hermitian symmetry and
         are dropped.
         """
-        if m < len(self.laurent_coeffs):
-            raise ValueError("grid too coarse for the stored order")
-        vals = m * np.fft.ifft(self.as_array(), m)
-        vals *= np.exp(-2j * np.pi * np.arange(m) * self.order / m)
-        return vals.real
+        return _laurent_values(self.as_array(), m)
 
 
 @dataclass(frozen=True)
 class CompletionResult:
     phi: ComplexPolynomial
     residual: float
-    method: str  # "root_factorization" or "cepstrum"
+    method: str = "weiss"  # the factorization route; there is one
 
 
 def gram_polynomial(upsilon: ComplexPolynomial) -> TrigPolynomial:
@@ -130,38 +114,39 @@ def gram_polynomial(upsilon: ComplexPolynomial) -> TrigPolynomial:
     return trig
 
 
-def factorize(gram: TrigPolynomial, tol: float = 1e-10, method: str = "auto") -> CompletionResult:
-    """Polynomial whose squared circle modulus matches a nonnegative defect.
-
-    method "auto" tries the root route first and falls back to the
-    log-domain route when the certified residual misses tol; "root" and
-    "cepstrum" force a single route (used by cross-checking tests).
+def factorize(gram: TrigPolynomial, tol: float = 1e-10) -> CompletionResult:
+    """Polynomial of degree gram.order whose squared circle modulus is gram.
 
     The leading coefficient is rotated to be real and nonnegative, which
     pins down the otherwise free global phase.  Raises CompletionError,
-    carrying the best residual achieved, when no permitted route
-    reaches tol.
+    carrying the residual achieved, when the certified residual exceeds
+    tol; a defect that is not positive off z = 1 ends there.
     """
-    if method not in ("auto", "root", "cepstrum"):
-        raise ValueError(f"unknown method {method!r}")
-    candidates: list[tuple[str, np.ndarray, float]] = []
-    if method in ("auto", "root"):
-        try:
-            phi, res = _factor_by_roots(gram)
-            candidates.append(("root_factorization", phi, res))
-        except _RootSelectionFailure as exc:
-            if method == "root":
-                raise CompletionError(str(exc), math.inf) from exc
-    root_good = bool(candidates) and candidates[0][2] <= tol
-    if method == "cepstrum" or (method == "auto" and not root_good):
-        phi, res = _factor_by_cepstrum(gram)
-        candidates.append(("cepstrum", phi, res))
-    name, phi, residual = min(candidates, key=lambda entry: entry[2])
-    if residual > tol:
+    g = gram.as_array()
+    d = gram.order
+    scale = float(np.max(np.abs(g)))
+    if scale == 0.0:
+        phi = np.zeros(1, dtype=complex)
+    else:
+        total = g.sum()
+        deflate = d > 0 and abs(total) <= _ZERO_AT_ONE_TOL * scale
+        if deflate:
+            g = g.copy()
+            g[d] -= total  # the defect at z = 1 is now exactly zero
+            g = _divide_by_one_minus_z_squared(g)
+        phi = _weiss_factor(g)
+        if deflate:
+            phi = np.convolve(phi, [1.0, -1.0])
+        # the outer factor has its roots outside the disc and a leading
+        # coefficient that can fall to rounding; its reflection keeps
+        # the full degree
+        phi = _fix_leading_phase(np.conj(phi[::-1]))
+    residual = _gram_residual(phi, gram)
+    if not residual <= tol:
         raise CompletionError(
             f"residual {residual:.3e} exceeds tolerance {tol:.3e}", residual
         )
-    return CompletionResult(phi=ComplexPolynomial(tuple(phi)), residual=residual, method=name)
+    return CompletionResult(phi=ComplexPolynomial(tuple(phi)), residual=residual)
 
 
 def completion_residual(upsilon: ComplexPolynomial, phi: ComplexPolynomial, m: int) -> float:
@@ -174,8 +159,14 @@ def completion_residual(upsilon: ComplexPolynomial, phi: ComplexPolynomial, m: i
     return float(np.max(np.abs(u + p - 1.0)))
 
 
-class _RootSelectionFailure(RuntimeError):
-    pass
+def _laurent_values(g: np.ndarray, m: int) -> np.ndarray:
+    """Real circle values of Laurent coefficients g at the m-th roots of unity."""
+    if m < len(g):
+        raise ValueError("grid too coarse for the stored order")
+    order = (len(g) - 1) // 2
+    vals = m * np.fft.ifft(g, m)
+    vals *= np.exp(-2j * np.pi * np.arange(m) * order / m)
+    return vals.real
 
 
 def _grid_size(d: int) -> int:
@@ -193,151 +184,36 @@ def _gram_residual(phi: np.ndarray, gram: TrigPolynomial) -> float:
     return float(np.max(np.abs(np.abs(pv) ** 2 - gv)))
 
 
-def _cluster_circle_roots(roots: np.ndarray) -> list[np.ndarray]:
-    if len(roots) == 0:
-        return []
-    ordered = roots[np.argsort(np.angle(roots))]
-    clusters: list[list[complex]] = [[ordered[0]]]
-    for r in ordered[1:]:
-        if abs(r - clusters[-1][-1]) <= _CLUSTER_TOL:
-            clusters[-1].append(r)
-        else:
-            clusters.append([r])
-    # the angular sort cuts the circle at -pi; rejoin a cluster split there
-    if len(clusters) > 1 and abs(ordered[0] - clusters[-1][-1]) <= _CLUSTER_TOL:
-        clusters[0] = clusters.pop() + clusters[0]
-    return [np.array(c) for c in clusters]
+def _divide_by_one_minus_z_squared(g: np.ndarray) -> np.ndarray:
+    """Laurent coefficients of g / |1 - z|^2, for g with a double zero at z = 1.
+
+    On the circle |1 - z|^2 = -z^-1 (1 - z)^2, so z^d g(z) is divided by
+    (1 - z) twice; dividing by (1 - z) is a cumulative sum.  The sums
+    run from the small outer coefficients inward, and only the lower
+    half is kept: the upper half is its conjugate mirror.
+    """
+    d = (len(g) - 1) // 2
+    lower = -np.cumsum(np.cumsum(g[:d]))  # exponents -(d-1)..0 of the quotient
+    return np.concatenate([lower, np.conj(lower[-2::-1])])
 
 
-def _select_factor_roots(roots: np.ndarray, want: int) -> np.ndarray:
-    mods = np.abs(roots)
-    chosen = list(roots[mods < 1.0 - _CIRCLE_BAND])
-    on_circle = roots[(mods >= 1.0 - _CIRCLE_BAND) & (mods <= 1.0 + _CIRCLE_BAND)]
-    for cluster in _cluster_circle_roots(on_circle):
-        pairs, odd = divmod(len(cluster), 2)
-        if odd:
-            warnings.warn(
-                f"on-circle root cluster of odd size {len(cluster)}; "
-                "factor conditioning is suspect",
-                ConditioningWarning,
-                stacklevel=3,
-            )
-        if pairs:
-            centroid = complex(np.mean(cluster))
-            centroid = centroid / abs(centroid) if abs(centroid) > 0.0 else 1.0 + 0j
-            chosen.extend([centroid] * pairs)
-    if len(chosen) != want:
-        raise _RootSelectionFailure(
-            f"selected {len(chosen)} factor roots where {want} were expected"
-        )
-    return np.array(chosen, dtype=complex)
+def _weiss_factor(g: np.ndarray) -> np.ndarray:
+    """Outer polynomial h of degree (len(g) - 1) / 2 with |h|^2 = g on the circle.
 
-
-def _factor_by_roots(gram: TrigPolynomial) -> tuple[np.ndarray, float]:
-    g = gram.as_array()
-    scale = float(np.max(np.abs(g))) if g.size else 0.0
-    if scale == 0.0:
-        phi = np.zeros(1, dtype=complex)
-        return phi, _gram_residual(phi, gram)
-    # strip negligible outer coefficients; they only lower the factor degree
-    d = gram.order
-    while d > 0 and abs(g[0]) <= 1e-15 * scale and abs(g[-1]) <= 1e-15 * scale:
-        g = g[1:-1]
-        d -= 1
-    if d == 0:
-        phi = np.array([math.sqrt(max(g[0].real, 0.0))], dtype=complex)
-        return phi, _gram_residual(phi, gram)
-    roots = npoly.polyroots(g)  # roots of z^d * defect(z), degree 2d
-    selected = _select_factor_roots(roots, d)
+    Grid values at or below zero, which a factorable g has only off the
+    grid, are raised to the smallest positive one (at most 1) so the log
+    stays finite; the residual check then reports how far that got.
+    """
+    d = (len(g) - 1) // 2
     m = _grid_size(d)
-    gv = np.maximum(gram.values_on_grid(m), 0.0)
-    w = np.exp(2j * np.pi * np.arange(m) / m)
-    vals = np.ones(m, dtype=complex)
-    for r in selected:
-        vals *= w - r
-    anchor = int(np.argmax(gv))  # best-conditioned point: the defect maximum
-    if gv[anchor] == 0.0 or abs(vals[anchor]) == 0.0:
-        raise _RootSelectionFailure("degenerate anchor point for scale matching")
-    vals *= math.sqrt(gv[anchor]) / abs(vals[anchor])
-    coeffs = (np.fft.fft(vals) / m)[: d + 1]
-    coeffs = _newton_polish(coeffs, gram.as_array() if d == gram.order else g)
-    coeffs = _fix_leading_phase(coeffs)
-    return coeffs, _gram_residual(coeffs, gram)
-
-
-def _factor_by_cepstrum(gram: TrigPolynomial) -> tuple[np.ndarray, float]:
-    d = gram.order
-    g = gram.as_array()
-    if d == 0:
-        phi = np.array([math.sqrt(max(g[0].real, 0.0))], dtype=complex)
-        return phi, _gram_residual(phi, gram)
-    peak_coeff = float(np.max(np.abs(g)))
-    if peak_coeff == 0.0:
-        phi = np.zeros(1, dtype=complex)
-        return phi, _gram_residual(phi, gram)
-    m = max(32 * _grid_size(d), 1024)  # the log is not band-limited: oversample hard
-    gv = np.maximum(gram.values_on_grid(m), 0.0)
-    peak = float(gv.max())
-    if peak == 0.0:
-        phi = np.zeros(1, dtype=complex)
-        return phi, _gram_residual(phi, gram)
-    # the floor both keeps the log finite at circle zeros and smooths the
-    # dip there, which shortens the coefficient tail lost to truncation;
-    # Newton repairs the bias it introduces
-    floor = peak * 1e-10
-    ell = np.fft.fft(np.log(gv + floor)) / m
+    vals = _laurent_values(g, m)
+    vals = np.maximum(vals, np.min(vals, where=vals > 0.0, initial=1.0))
+    ell = np.fft.fft(np.log(vals)) / m
     half = np.zeros(m, dtype=complex)
     half[0] = 0.5 * ell[0]
     half[1 : m // 2] = ell[1 : m // 2]
     half[m // 2] = 0.5 * ell[m // 2]
-    vals = np.exp(m * np.fft.ifft(half))
-    coeffs = (np.fft.fft(vals) / m)[: d + 1]
-    coeffs = _newton_polish(coeffs, g, iters=_CEPSTRUM_NEWTON_ITERS)
-    coeffs = _fix_leading_phase(coeffs)
-    return coeffs, _gram_residual(coeffs, gram)
-
-
-def _newton_polish(phi: np.ndarray, g: np.ndarray, iters: int = _NEWTON_ITERS) -> np.ndarray:
-    """Least-squares Newton steps on the autocorrelation map.
-
-    The starting point is already accurate, so a couple of damped steps
-    settle at machine noise.  Real and imaginary parts are stacked into
-    one real system; the Jacobian stays small (it scales with degree).
-    """
-    e = phi.astype(complex)
-    k = len(e)
-
-    def residual_vec(vec: np.ndarray) -> np.ndarray:
-        return np.convolve(vec, np.conj(vec[::-1])) - g
-
-    for _ in range(iters):
-        r = residual_vec(e)
-        size = float(np.max(np.abs(r)))
-        if size < 1e-15:
-            break
-        flip = np.conj(e[::-1])
-        cols = []
-        for i in range(k):
-            basis = np.zeros(k, dtype=complex)
-            basis[i] = 1.0
-            cols.append(np.convolve(basis, flip) + np.convolve(e, np.conj(basis[::-1])))
-            basis_im = 1j * basis
-            cols.append(
-                np.convolve(basis_im, flip) + np.convolve(e, np.conj(basis_im[::-1]))
-            )
-        jac = np.array(cols).T
-        system = np.vstack([jac.real, jac.imag])
-        rhs = np.concatenate([r.real, r.imag])
-        step, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-        delta = step[0::2] + 1j * step[1::2]
-        for damp in (1.0, 0.5, 0.25):
-            trial = e - damp * delta
-            if float(np.max(np.abs(residual_vec(trial)))) < size:
-                e = trial
-                break
-        else:
-            break  # no direction of improvement left
-    return e
+    return (np.fft.fft(np.exp(m * np.fft.ifft(half))) / m)[: d + 1]
 
 
 def _fix_leading_phase(phi: np.ndarray) -> np.ndarray:

@@ -84,6 +84,8 @@ class GapSpec:
             raise ValueError(f"delta must lie in (0, pi], got {self.delta!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,6 @@ __all__ = ["UNITARY_TOL", "realize", "pue_block", "spectral_norm"]
 
 UNITARY_TOL = 1e-10
 
-_SVD_DIM_LIMIT = 256
-_POWER_TOL = 1e-12
-_POWER_MAX_ITERS = 10_000
-
 
 def _require_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
@@ -83,35 +79,10 @@ def pue_block(w: np.ndarray, which: str = "top_left") -> np.ndarray:
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value.
-
-    Full decomposition up to dimension 256; beyond that, power
-    iteration on A^dagger A from a fixed seeded start (tolerance 1e-12,
-    at most 10^4 sweeps), so results stay deterministic.
-    """
+    """Largest singular value, from the full singular-value decomposition."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
     if min(a.shape) == 0:
         return 0.0
-    if max(a.shape) <= _SVD_DIM_LIMIT:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-    return _power_iteration_norm(a)
-
-
-def _power_iteration_norm(a: np.ndarray) -> float:
-    rng = np.random.default_rng(0)
-    v = rng.normal(size=a.shape[1]) + 1j * rng.normal(size=a.shape[1])
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(_POWER_MAX_ITERS):
-        w = a.conj().T @ (a @ v)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        new_estimate = float(np.linalg.norm(a @ v))
-        if abs(new_estimate - estimate) <= _POWER_TOL * max(1.0, new_estimate):
-            return new_estimate
-        estimate = new_estimate
-    return estimate
+    return float(np.linalg.svd(a, compute_uv=False)[0])

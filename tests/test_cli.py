@@ -19,6 +19,7 @@ from eigenreflect.cli import (
     EXIT_CONFIG,
     EXIT_GAP_VIOLATION,
     EXIT_OK,
+    EXIT_SWEEP_ROWS_FAILED,
     EXIT_TARGET_ABSENT,
     _render_json,
     _render_scalar,
@@ -113,6 +114,15 @@ class TestPlan:
     def test_missing_epsilon_is_config_error(self, tmp_path):
         code, _ = run_plan(tmp_path, "--delta", "1.0")
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_non_finite_theta_is_config_error(self, tmp_path, capsys, theta):
+        code, doc = run_plan(
+            tmp_path, "--delta", "0.5", "--epsilon", "0.1", f"--theta={theta}"
+        )
+        assert code == EXIT_CONFIG
+        assert doc is None
+        assert f"error: --theta must be finite, got {float(theta)!r}" in capsys.readouterr().err
 
 
 class TestSynth:
@@ -212,6 +222,19 @@ class TestVerify:
         assert cmp["paper"]["max_modulus_outside_gap"] == pytest.approx(1.0)
         assert cmp["corrected"]["degree"] > cmp["paper"]["degree"]
 
+    def test_degree_189_block_matches_oracle(self, tmp_path):
+        # the plan's kernel top coefficient is 1.9e-12: the partner must
+        # keep its full degree for the angles to rebuild the kernel
+        out = tmp_path / "report.json"
+        code = main([
+            "verify", "--delta", repr(math.pi / 16), "--epsilon", "1e-3",
+            "--dim", "16", "--seed", "1", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["params"]["degree"] == 189
+        assert doc["oracle_block_residual"] <= 1e-8
+
     def test_unreachable_completion_tolerance(self, tmp_path):
         code = main([
             "verify", "--dim", "4", "--delta", PI_HALF, "--epsilon", "0.01",
@@ -298,6 +321,44 @@ class TestSweep:
             "delta,epsilon,dim,seed,t,n,degree,measured_error,bound,"
             "satisfied,completion_residual,wall_time_ms"
         ]
+
+    def test_failed_row_exit_code(self, tmp_path, capsys):
+        code, rows, text = self.run_sweep(
+            tmp_path, deltas="0.5,4", epsilons="0.1", dims="4", seeds="0"
+        )
+        assert code == EXIT_SWEEP_ROWS_FAILED
+        assert text.splitlines()[0] == (
+            "delta,epsilon,dim,seed,t,n,degree,measured_error,bound,"
+            "satisfied,completion_residual,wall_time_ms"
+        )
+        good, bad = rows
+        assert good["satisfied"] == "true"
+        assert bad["delta"] == "4"
+        assert bad["measured_error"] == "" and bad["satisfied"] == "false"
+        err = capsys.readouterr().err
+        assert "delta must lie in (0, pi], got 4.0" in err
+        assert "1 row(s) failed to run" in err
+
+    def test_bound_violation_exit_code(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = main([
+            "sweep", "--deltas", PI_HALF, "--epsilons", "0.001", "--dims", "4",
+            "--seeds", "0", "--use-paper-t-formula", "--csv-out", str(out),
+        ])
+        assert code == EXIT_BOUND_VIOLATED
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["satisfied"] == "false" and row["measured_error"] != ""
+
+    def test_non_finite_theta_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main([
+            "sweep", "--deltas", "0.5", "--epsilons", "0.1", "--dims", "4",
+            "--seeds", "0", "--theta", "nan", "--csv-out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "error: --theta must be finite, got nan" in capsys.readouterr().err
 
     def test_deterministic_apart_from_timing(self, tmp_path):
         grids = {"deltas": "1.0", "epsilons": "0.01,0.1", "dims": "6", "seeds": "1,2"}

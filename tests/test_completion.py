@@ -4,19 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from eigenreflect.completion import (
     CompletionError,
-    ConditioningWarning,
     TrigPolynomial,
-    _select_factor_roots,
     completion_residual,
     factorize,
     gram_polynomial,
 )
+from eigenreflect.gqsp import branch_pair, reconstruct_polynomials
 from eigenreflect.poly import (
     ComplexPolynomial,
     GapSpec,
@@ -95,20 +94,13 @@ class TestFactorize:
             assert abs(lead.imag) <= 1e-12 * abs(lead)
             assert lead.real > 0
 
-    def test_both_backends_meet_tolerance_on_plan_kernel(self):
+    def test_plan_kernel_meets_tolerance(self):
         plan = select_parameters(GapSpec(delta=math.pi / 2, epsilon=1e-2))
-        gram = gram_polynomial(build_upsilon(plan.t, plan.n))
-        by_roots = factorize(gram, method="root")
-        by_cepstrum = factorize(gram, method="cepstrum")
-        assert by_roots.method == "root_factorization"
-        assert by_cepstrum.method == "cepstrum"
-        assert by_roots.residual <= 1e-10
-        assert by_cepstrum.residual <= 1e-10
-
-    def test_unknown_method_rejected(self):
-        gram = gram_polynomial(ComplexPolynomial((0.5, 0.5)))
-        with pytest.raises(ValueError):
-            factorize(gram, method="bogus")
+        ups = build_upsilon(plan.t, plan.n)
+        res = factorize(gram_polynomial(ups))
+        assert res.method == "weiss"
+        assert res.residual <= 1e-10
+        assert completion_residual(ups, res.phi, 16 * (2 * ups.degree + 1)) <= 1e-10
 
     def test_partner_degree_never_exceeds_input_degree(self):
         for t, n in [(2, 1), (3, 2), (4, 3), (8, 5)]:
@@ -119,9 +111,8 @@ class TestFactorize:
     def test_unreachable_tolerance_reports_achieved_residual(self):
         # a gram that dips slightly negative has no exact factorization
         gram = TrigPolynomial((-0.25, 0.5 - 1e-4, -0.25))
-        with pytest.warns(ConditioningWarning):
-            with pytest.raises(CompletionError) as info:
-                factorize(gram, tol=1e-10)
+        with pytest.raises(CompletionError) as info:
+            factorize(gram, tol=1e-10)
         assert 1e-6 < info.value.achieved_residual < 1e-2
 
     def test_modulus_profile_is_idempotent(self):
@@ -153,28 +144,67 @@ class TestFactorize:
         assert completion_residual(ups, rotated, m) <= 1e-12
 
 
-class TestRootSelection:
-    def test_odd_on_circle_cluster_warns(self):
-        roots = np.array([1.0 + 0j, 1.0 + 2e-6j, 1.0 - 2e-6j, 0.5 + 0j, 2.0 + 0j])
-        with pytest.warns(ConditioningWarning):
-            chosen = _select_factor_roots(roots, want=2)
-        assert len(chosen) == 2
+class TestPartnerDegree:
+    # the plans whose kernel has a top coefficient t^-n small enough that
+    # a partner built around it could lose its own top coefficients
+    @pytest.mark.parametrize(
+        "delta, epsilon",
+        [
+            (math.pi / 8, 1e-3),
+            (math.pi / 16, 1e-3),
+            (math.pi / 32, 1e-2),
+            (math.pi / 32, 1e-3),
+        ],
+    )
+    def test_partner_keeps_full_degree_and_angles_rebuild_kernel(self, delta, epsilon):
+        plan = select_parameters(GapSpec(delta, epsilon=epsilon))
+        ups = build_upsilon(plan.t, plan.n)
+        phi = factorize(gram_polynomial(ups)).phi
+        assert phi.degree == plan.degree
+        plus, _ = branch_pair(ups, phi)
+        rebuilt, _ = reconstruct_polynomials(plus)
+        assert rebuilt.degree == ups.degree
+        assert np.max(np.abs(rebuilt.as_array() - ups.as_array())) <= 1e-12
 
-    def test_even_cluster_collapses_to_centroid(self):
-        roots = np.array([1.0 + 1e-6j, 1.0 - 1e-6j, 0.4 + 0j, 2.5 + 0j])
-        chosen = _select_factor_roots(roots, want=2)
-        on_circle = [r for r in chosen if abs(abs(r) - 1.0) < 1e-7]
-        assert len(on_circle) == 1
-        assert abs(on_circle[0] - 1.0) <= 1e-6
+    @given(
+        k=st.integers(2, 100),
+        epsilon=st.sampled_from([1e-1, 1e-2, 1e-3]),
+    )
+    @example(k=100, epsilon=1e-3)  # degree 1211
+    @settings(max_examples=20, deadline=None)
+    def test_plan_kernels_complete_at_full_degree(self, k, epsilon):
+        plan = select_parameters(GapSpec(math.pi / k, epsilon=epsilon))
+        ups = build_upsilon(plan.t, plan.n)
+        phi = factorize(gram_polynomial(ups)).phi
+        assert phi.degree == ups.degree
+        assert completion_residual(ups, phi, 16 * (2 * ups.degree + 1)) <= 1e-10
 
-    def test_wraparound_cluster_is_rejoined(self):
-        # a double root at z = -1 splits across the branch cut of arg
-        eps = 1e-6
-        roots = np.array(
-            [np.exp(1j * (np.pi - eps)), np.exp(-1j * (np.pi - eps)), 0.3 + 0j]
-        )
-        chosen = _select_factor_roots(roots, want=2)
-        assert len(chosen) == 2
+    @given(
+        degree=st.integers(1, 200),
+        seed=st.integers(0, 10_000),
+        peak=st.sampled_from([None, 0.95]),
+    )
+    @example(degree=200, seed=0, peak=0.95)
+    @settings(max_examples=25, deadline=None)
+    def test_random_pairs_complete_at_full_degree(self, degree, seed, peak):
+        p, phi = random_complementary_pair(degree, seed=seed, peak=peak)
+        assert phi.degree == p.degree == degree
+        assert completion_residual(p, phi, 16 * (2 * degree + 1)) <= 1e-10
+
+
+class TestZeroOffOne:
+    @pytest.mark.parametrize("tol", [1e-10, 1e-2])
+    def test_meets_tolerance_or_raises(self, tol):
+        # 1 - |(1 + z^2)/2|^2 = sin^2(lam) also vanishes at z = -1, where
+        # the log the factorization takes is singular
+        p = ComplexPolynomial((0.5, 0.0, 0.5))
+        try:
+            res = factorize(gram_polynomial(p), tol=tol)
+        except CompletionError as exc:
+            assert exc.achieved_residual > tol
+        else:
+            assert res.residual <= tol
+            assert completion_residual(p, res.phi, 256) <= tol
 
 
 class TestCompletionResidual:

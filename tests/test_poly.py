@@ -58,6 +58,11 @@ class TestGapSpec:
         with pytest.raises(ValueError):
             GapSpec(delta=1.0, epsilon=epsilon)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            GapSpec(delta=1.0, epsilon=0.5, theta=theta)
+
 
 class TestSelectParameters:
     def test_quarter_turn_point_one(self):

@@ -17,7 +17,6 @@ from eigenreflect.completion import factorize, gram_polynomial
 from eigenreflect.gqsp import branch_pair
 from eigenreflect.poly import build_upsilon
 from eigenreflect.sim import pue_block, realize, spectral_norm
-from eigenreflect.sim import _power_iteration_norm
 
 
 def random_unitary(dim, seed):
@@ -153,18 +152,17 @@ class TestSpectralNorm:
         with pytest.raises(ValueError):
             spectral_norm(np.ones(4))
 
-    def test_power_iteration_matches_svd(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        assert _power_iteration_norm(a) == pytest.approx(
-            spectral_norm(a), abs=1e-10
-        )
-
     def test_large_matrix_path(self):
-        # above the decomposition cutoff the public call switches to
-        # power iteration; a known diagonal keeps the answer exact
+        # a known diagonal keeps the answer exact
         d = np.linspace(0.1, 2.0, 300)
         assert spectral_norm(np.diag(d)) == pytest.approx(2.0, abs=1e-9)
 
     def test_zero_matrix_large_path(self):
         assert spectral_norm(np.zeros((300, 300))) == 0.0
+
+    def test_large_residual_sized_matrix_matches_svd(self):
+        # residual-sized norms of large matrices must not be under-reported
+        rng = np.random.default_rng(5)
+        a = 1e-13 * (rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300)))
+        expected = np.linalg.svd(a, compute_uv=False)[0]
+        assert spectral_norm(a) == pytest.approx(expected, rel=1e-12)
