@@ -40,9 +40,13 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
-    csv_path = args.csv_out
-    if csv_path is None:
-        csv_path = str(Path(tempfile.mkdtemp()) / "sweep.csv")
+    if args.csv_out is not None:
+        return run(args, args.csv_out)
+    with tempfile.TemporaryDirectory() as tmp:
+        return run(args, str(Path(tmp) / "sweep.csv"))
+
+
+def run(args, csv_path):
     code = cli_main([
         "sweep",
         "--deltas", args.deltas,

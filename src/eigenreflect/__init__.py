@@ -16,11 +16,13 @@ from .circuit import (
     ControlledOracle,
     Gate,
     GateCounts,
+    Synthesis,
     adjoint,
     build_reflection,
     build_w,
     compose,
     gate_counts,
+    synthesize,
 )
 from .completion import (
     CompletionError,
@@ -79,6 +81,7 @@ __all__ = [
     "ReflectionPlan",
     "SpectralData",
     "SpectrumSpec",
+    "Synthesis",
     "TargetAbsent",
     "TrigPolynomial",
     "VerificationReport",
@@ -104,6 +107,7 @@ __all__ = [
     "reconstruct_polynomials",
     "select_parameters",
     "spectral_norm",
+    "synthesize",
     "synthesize_angles",
     "validate_gap",
     "verify_reflection",

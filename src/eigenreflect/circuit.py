@@ -9,7 +9,8 @@ oracle itself, so the oracle stays a black box.
 
 Builders produce the two branch walks and their composite; counting is
 an exact structural tally, so predicted resource numbers can be
-asserted with zero tolerance.
+asserted with zero tolerance.  `synthesize` runs the whole per-plan
+pipeline once and keeps every stage in one `Synthesis` record.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Union
 
-from .gqsp import GQSPAngleSequence
-from .poly import ReflectionPlan
+from .completion import CompletionResult, factorize, gram_polynomial
+from .gqsp import GQSPAngleSequence, branch_pair
+from .poly import ComplexPolynomial, GapSpec, ReflectionPlan, build_upsilon, select_parameters
 
 __all__ = [
     "AncillaRotation",
@@ -31,6 +33,9 @@ __all__ = [
     "compose",
     "build_reflection",
     "gate_counts",
+    "predicted_counts",
+    "Synthesis",
+    "synthesize",
 ]
 
 
@@ -146,3 +151,39 @@ def gate_counts(c: CircuitIR) -> GateCounts:
     cud = sum(1 for g in c.gates if isinstance(g, ControlledOracle) and g.exponent == -1)
     rot = sum(1 for g in c.gates if isinstance(g, AncillaRotation))
     return GateCounts(cu, cud, rot)
+
+
+def predicted_counts(plan: ReflectionPlan) -> GateCounts:
+    """The counts a composite circuit for this plan must tally to."""
+    per_branch = plan.predicted_controlled_u_per_branch
+    return GateCounts(per_branch, per_branch, plan.predicted_rotations)
+
+
+@dataclass(frozen=True)
+class Synthesis:
+    """One plan carried through the pipeline: kernel, completion, angles, circuit.
+
+    The circuit is the plus branch walk followed by the adjoint of the
+    minus branch walk, so its first 2 * degree + 1 gates are the plus
+    branch.
+    """
+
+    plan: ReflectionPlan
+    kernel: ComplexPolynomial
+    completion: CompletionResult
+    branches: tuple[GQSPAngleSequence, GQSPAngleSequence]
+    circuit: CircuitIR
+
+
+def synthesize(
+    gap: GapSpec, *, use_paper_t_formula: bool = False, completion_tol: float = 1e-10
+) -> Synthesis:
+    """Plan (t, n), build the kernel, complete it, synthesize both branches, compose.
+
+    Raises CompletionError when the completion misses completion_tol.
+    """
+    plan = select_parameters(gap, use_paper_t_formula=use_paper_t_formula)
+    kernel = build_upsilon(plan.t, plan.n)
+    completion = factorize(gram_polynomial(kernel), tol=completion_tol)
+    branches = branch_pair(kernel, completion.phi)
+    return Synthesis(plan, kernel, completion, branches, build_reflection(plan, branches))

@@ -33,14 +33,15 @@ from .circuit import (
     CircuitIR,
     ControlledOracle,
     GateCounts,
-    build_reflection,
+    Synthesis,
+    predicted_counts,
+    synthesize,
 )
-from .completion import CompletionError, CompletionResult, factorize, gram_polynomial
-from .gqsp import ROTATION_CONVENTION, GQSPAngleSequence, branch_pair
+from .completion import CompletionError
+from .gqsp import ROTATION_CONVENTION, GQSPAngleSequence
 from .oracle import GapViolation, TargetAbsent, VerificationReport, verify_reflection
 from .poly import (
     DEFAULT_OVERSAMPLE,
-    ComplexPolynomial,
     GapSpec,
     ReflectionPlan,
     build_upsilon,
@@ -105,6 +106,7 @@ class JobConfig:
     circuit_out: str | None = None
     angles_out: str | None = None
     csv_out: str | None = None
+    theta: float = 0.0  # sweep rows' target phase; the other commands read gap
     use_paper_t_formula: bool = False
     oversample: int = DEFAULT_OVERSAMPLE
     completion_tol: float = DEFAULT_COMPLETION_TOL
@@ -218,11 +220,6 @@ def _counts_payload(counts: GateCounts) -> dict[str, int]:
 
 
 def _plan_payload(plan: ReflectionPlan, t_formula: str) -> dict[str, Any]:
-    predicted = GateCounts(
-        controlled_u=plan.predicted_controlled_u_per_branch,
-        controlled_u_dagger=plan.predicted_controlled_u_per_branch,
-        single_qubit_rotations=plan.predicted_rotations,
-    )
     return {
         "delta": plan.gap.delta,
         "epsilon": plan.gap.epsilon,
@@ -230,7 +227,7 @@ def _plan_payload(plan: ReflectionPlan, t_formula: str) -> dict[str, Any]:
         "t": plan.t,
         "n": plan.n,
         "degree": plan.degree,
-        "counts": _counts_payload(predicted),
+        "counts": _counts_payload(predicted_counts(plan)),
         "t_formula": t_formula,
     }
 
@@ -261,12 +258,10 @@ def _branch_payload(seq: GQSPAngleSequence) -> dict[str, Any]:
     }
 
 
-def _angles_payload(
-    plan: ReflectionPlan, branches: tuple[GQSPAngleSequence, GQSPAngleSequence]
-) -> dict[str, Any]:
-    plus, minus = branches
+def _angles_payload(syn: Synthesis) -> dict[str, Any]:
+    plus, minus = syn.branches
     return {
-        "degree": plan.degree,
+        "degree": syn.plan.degree,
         "convention": ROTATION_CONVENTION,
         "plus": _branch_payload(plus),
         "minus": _branch_payload(minus),
@@ -302,26 +297,6 @@ def _kernel_summary(gap: GapSpec, use_paper: bool, oversample: int) -> dict[str,
     }
 
 
-# ---------------------------------------------------------------- pipeline
-
-
-def _synthesize(
-    gap: GapSpec, use_paper: bool, completion_tol: float
-) -> tuple[
-    ReflectionPlan,
-    ComplexPolynomial,
-    CompletionResult,
-    tuple[GQSPAngleSequence, GQSPAngleSequence],
-    CircuitIR,
-]:
-    plan = select_parameters(gap, use_paper_t_formula=use_paper)
-    upsilon = build_upsilon(plan.t, plan.n)
-    completion = factorize(gram_polynomial(upsilon), tol=completion_tol)
-    branches = branch_pair(upsilon, completion.phi)
-    circ = build_reflection(plan, branches)
-    return plan, upsilon, completion, branches, circ
-
-
 def _formula_name(use_paper: bool) -> str:
     return "paper" if use_paper else "corrected"
 
@@ -339,11 +314,11 @@ def cmd_plan(cfg: JobConfig) -> int:
 
 def cmd_synth(cfg: JobConfig) -> int:
     assert cfg.gap is not None
-    plan, _, _, branches, circ = _synthesize(
-        cfg.gap, cfg.use_paper_t_formula, cfg.completion_tol
+    syn = synthesize(
+        cfg.gap, use_paper_t_formula=cfg.use_paper_t_formula, completion_tol=cfg.completion_tol
     )
-    _emit(cfg.circuit_out or "circuit.json", _render_json(_circuit_payload(circ)) + "\n")
-    _emit(cfg.angles_out or "angles.json", _render_json(_angles_payload(plan, branches)) + "\n")
+    _emit(cfg.circuit_out or "circuit.json", _render_json(_circuit_payload(syn.circuit)) + "\n")
+    _emit(cfg.angles_out or "angles.json", _render_json(_angles_payload(syn)) + "\n")
     return EXIT_OK
 
 
@@ -355,10 +330,10 @@ def cmd_verify(cfg: JobConfig) -> int:
         u = random_gapped_unitary(cfg.spectrum)
     else:
         raise ValueError("verify needs a --matrix file or --dim/--seed parameters")
-    plan, _, _, _, circ = _synthesize(
-        cfg.gap, cfg.use_paper_t_formula, cfg.completion_tol
+    syn = synthesize(
+        cfg.gap, use_paper_t_formula=cfg.use_paper_t_formula, completion_tol=cfg.completion_tol
     )
-    report = verify_reflection(u, cfg.gap, circ, plan)
+    report = verify_reflection(u, syn)
     payload = _report_payload(report, _formula_name(cfg.use_paper_t_formula))
     if cfg.use_paper_t_formula:
         # discrepancy experiment: record the kernel quality under both
@@ -372,16 +347,15 @@ def cmd_verify(cfg: JobConfig) -> int:
 
 
 def cmd_sweep(cfg: JobConfig) -> int:
-    theta = cfg.gap.theta if cfg.gap is not None else 0.0
     buffer = io.StringIO()
     buffer.write(",".join(_SWEEP_COLUMNS) + "\n")
-    cache: dict[tuple[float, float], tuple[Any, ...]] = {}
+    cache: dict[tuple[float, float], Synthesis] = {}
     failed = violated = 0
     for delta in cfg.deltas:
         for epsilon in cfg.epsilons:
             for dim in cfg.dims:
                 for seed in cfg.seeds:
-                    row = _sweep_row(cfg, delta, epsilon, dim, seed, theta, cache)
+                    row = _sweep_row(cfg, delta, epsilon, dim, seed, cache)
                     buffer.write(",".join(row[name] for name in _SWEEP_COLUMNS) + "\n")
                     failed += row["measured_error"] == ""
                     violated += row["satisfied"] != "true"
@@ -402,8 +376,7 @@ def _sweep_row(
     epsilon: float,
     dim: int,
     seed: int,
-    theta: float,
-    cache: dict[tuple[float, float], tuple[Any, ...]],
+    cache: dict[tuple[float, float], Synthesis],
 ) -> dict[str, str]:
     start = time.perf_counter()
 
@@ -417,19 +390,20 @@ def _sweep_row(
     cells["seed"] = str(seed)
     cells["satisfied"] = "false"
     try:
-        gap = GapSpec(delta=delta, epsilon=epsilon, theta=theta)
         key = (delta, epsilon)
         if key not in cache:
-            cache[key] = _synthesize(gap, cfg.use_paper_t_formula, cfg.completion_tol)
-        plan, _, _, _, circ = cache[key]
-        cells["t"] = str(plan.t)
-        cells["n"] = str(plan.n)
-        cells["degree"] = str(plan.degree)
+            gap = GapSpec(delta=delta, epsilon=epsilon, theta=cfg.theta)
+            cache[key] = synthesize(
+                gap, use_paper_t_formula=cfg.use_paper_t_formula, completion_tol=cfg.completion_tol
+            )
+        syn = cache[key]
+        cells["t"] = str(syn.plan.t)
+        cells["n"] = str(syn.plan.n)
+        cells["degree"] = str(syn.plan.degree)
         spec = SpectrumSpec(
-            dim=dim, delta=delta, theta=theta, target_multiplicity=1, seed=seed
+            dim=dim, delta=delta, theta=cfg.theta, target_multiplicity=1, seed=seed
         )
-        u = random_gapped_unitary(spec)
-        report = verify_reflection(u, gap, circ, plan)
+        report = verify_reflection(random_gapped_unitary(spec), syn)
         cells["measured_error"] = num(report.measured_error)
         cells["bound"] = num(report.bound)
         cells["satisfied"] = "true" if report.bound_satisfied else "false"
@@ -505,22 +479,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _float_list(value: Any) -> tuple[float, ...]:
+def _list_of(kind: type, value: Any) -> tuple[Any, ...]:
+    """A comma-separated flag string or a config-file JSON list, as `kind`s."""
     if value is None:
         return ()
     if isinstance(value, str):
-        parts = [s.strip() for s in value.split(",")]
-        return tuple(float(s) for s in parts if s)
-    return tuple(float(x) for x in value)
-
-
-def _int_list(value: Any) -> tuple[int, ...]:
-    if value is None:
-        return ()
-    if isinstance(value, str):
-        parts = [s.strip() for s in value.split(",")]
-        return tuple(int(s) for s in parts if s)
-    return tuple(int(x) for x in value)
+        value = [s.strip() for s in value.split(",") if s.strip()]
+    return tuple(kind(x) for x in value)
 
 
 def _merge_with_config(args: argparse.Namespace) -> dict[str, Any]:
@@ -579,13 +544,14 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
         circuit_out=v.get("circuit_out"),
         angles_out=v.get("angles_out"),
         csv_out=v.get("csv_out"),
+        theta=theta,
         use_paper_t_formula=use_paper,
         oversample=oversample,
         completion_tol=completion_tol,
-        deltas=_float_list(v.get("deltas")),
-        epsilons=_float_list(v.get("epsilons")),
-        dims=_int_list(v.get("dims")),
-        seeds=_int_list(v.get("seeds")),
+        deltas=_list_of(float, v.get("deltas")),
+        epsilons=_list_of(float, v.get("epsilons")),
+        dims=_list_of(int, v.get("dims")),
+        seeds=_list_of(int, v.get("seeds")),
     )
 
 

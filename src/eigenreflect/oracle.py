@@ -10,17 +10,15 @@ synthesis, so the two paths check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import linalg as sla
 
-from .circuit import CircuitIR, GateCounts, build_w, gate_counts
-from .completion import completion_residual, factorize, gram_polynomial
-from .gqsp import branch_pair
-from .poly import ComplexPolynomial, GapSpec, ReflectionPlan, build_upsilon
-from .sim import pue_block, realize, spectral_norm
+from .circuit import CircuitIR, GateCounts, Synthesis, gate_counts, predicted_counts
+from .completion import completion_residual
+from .poly import ComplexPolynomial, GapSpec, ReflectionPlan
+from .sim import UNITARY_TOL, _require_unitary, pue_block, realize, spectral_norm
 
 __all__ = [
     "PHASE_MATCH_TOL",
@@ -36,7 +34,6 @@ __all__ = [
 ]
 
 PHASE_MATCH_TOL = 1e-9  # angular distance under which a phase counts as the target
-_UNITARY_TOL = 1e-10
 _BOUND_SLACK = 1e-8
 
 
@@ -56,15 +53,10 @@ class TargetAbsent(Exception):
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Eigendecomposition of a unitary: U = V diag(exp(i phases)) V^dagger.
-
-    target_multiplicity is 0 until a gap validation has counted the
-    matching eigenphases; it is informational only.
-    """
+    """Eigendecomposition of a unitary: U = V diag(exp(i phases)) V^dagger."""
 
     eigenphases: np.ndarray
     eigenvectors: np.ndarray
-    target_multiplicity: int = 0
 
     @property
     def dim(self) -> int:
@@ -99,12 +91,9 @@ def decompose(u: np.ndarray) -> SpectralData:
     reconstruction is re-checked so a silently bad decomposition cannot
     leak into downstream verdicts.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("expected a square matrix")
-    defect = spectral_norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if defect > _UNITARY_TOL:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+    from scipy import linalg as sla  # deferred: plan and synth never pay for scipy
+
+    u = _require_unitary(u)
     t, z = sla.schur(u, output="complex")
     phases = np.angle(np.diagonal(t))
     order = np.argsort(phases, kind="stable")
@@ -112,7 +101,7 @@ def decompose(u: np.ndarray) -> SpectralData:
         eigenphases=phases[order].copy(), eigenvectors=z[:, order].copy()
     )
     residual = spectral_norm(data.reconstruct() - u)
-    if residual > _UNITARY_TOL:
+    if residual > UNITARY_TOL:
         raise ValueError(f"eigendecomposition failed (residual {residual:.3e})")
     return data
 
@@ -155,54 +144,43 @@ def apply_poly(s: SpectralData, p: ComplexPolynomial) -> np.ndarray:
     return (v * vals) @ v.conj().T
 
 
-def _apply_poly_shifted(s: SpectralData, p: ComplexPolynomial, theta: float) -> np.ndarray:
-    """p(e^{-i theta} U): the evaluation the shifted oracle gates realize."""
-    vals = npoly.polyval(np.exp(1j * (s.eigenphases - theta)), p.as_array())
-    v = s.eigenvectors
-    return (v * vals) @ v.conj().T
+def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport:
+    """Full verdict on a synthesized circuit against the ideal reflection.
 
-
-def verify_reflection(
-    u: np.ndarray, gap: GapSpec, composite: CircuitIR, plan: ReflectionPlan
-) -> VerificationReport:
-    """Full verdict on a composite circuit against the ideal reflection.
-
-    The kernel, its completion, and the plus branch are rebuilt here
-    from the plan alone, so every reported residual is computed fresh
-    rather than trusted from the synthesis that produced the circuit.
+    The circuit is realized once; the plus branch that opens it is a
+    snapshot on the way.  The composite block is compared with the
+    reflection through the exact target eigenspace, and the plus branch
+    block with the kernel applied spectrally at phases shifted by theta,
+    so both verdicts rest on the eigendecomposition, not on the angles.
     """
+    plan = synthesis.plan
+    gap = plan.gap
     s = decompose(u)
     multiplicity = validate_gap(s, gap)
-    projector = exact_projector(s, gap.theta)
-    ideal = 2.0 * projector - np.eye(s.dim)
+    ideal = 2.0 * exact_projector(s, gap.theta) - np.eye(s.dim)
 
-    w = realize(composite, u)
+    split = 2 * plan.degree + 1  # gates of the plus branch walk
+    gates = synthesis.circuit.gates
+    w_plus = realize(CircuitIR(gates[:split], plan.degree), u)
+    w = realize(CircuitIR(gates[split:], plan.degree), u, initial=w_plus)
     measured = spectral_norm(pue_block(w, "top_left") - ideal)
     bound = 4.0 * gap.epsilon
     unitarity = spectral_norm(w.conj().T @ w - np.eye(2 * s.dim))
 
-    upsilon = build_upsilon(plan.t, plan.n)
-    completion = factorize(gram_polynomial(upsilon))
-    grid = max(16 * (2 * plan.degree + 1), 16)
-    residual = completion_residual(upsilon, completion.phi, grid)
+    residual = completion_residual(synthesis.kernel, synthesis.completion.phi, 16 * split)
 
-    plus, _ = branch_pair(upsilon, completion.phi)
-    w_plus = realize(build_w(plus, gap.theta), u)
     branch_unitarity = spectral_norm(w_plus.conj().T @ w_plus - np.eye(2 * s.dim))
+    shifted = replace(s, eigenphases=s.eigenphases - gap.theta)
     block_vs_oracle = spectral_norm(
-        pue_block(w_plus, "top_left") - _apply_poly_shifted(s, upsilon, gap.theta)
+        pue_block(w_plus, "top_left") - apply_poly(shifted, synthesis.kernel)
     )
 
     return VerificationReport(
         measured_error=measured,
         bound=bound,
         bound_satisfied=bool(measured <= bound + _BOUND_SLACK),
-        counts=gate_counts(composite),
-        predicted_counts=GateCounts(
-            controlled_u=plan.predicted_controlled_u_per_branch,
-            controlled_u_dagger=plan.predicted_controlled_u_per_branch,
-            single_qubit_rotations=plan.predicted_rotations,
-        ),
+        counts=gate_counts(synthesis.circuit),
+        predicted_counts=predicted_counts(plan),
         completion_residual=residual,
         unitarity_residual=unitarity,
         oracle_block_residual=block_vs_oracle,

@@ -41,15 +41,17 @@ def _rotation_matrix(g: AncillaRotation) -> np.ndarray:
     return np.array([[el * ep * c, ep * s], [el * s, -c]], dtype=complex)
 
 
-def realize(c: CircuitIR, u: np.ndarray) -> np.ndarray:
+def realize(c: CircuitIR, u: np.ndarray, initial: np.ndarray | None = None) -> np.ndarray:
     """Multiply out a circuit on ancilla-plus-system space.
 
     Gates listed first act first, so the returned matrix is the product
-    of the gate matrices in reverse list order.
+    of the gate matrices in reverse list order, times `initial` (the
+    identity by default) on the right.  Realizing a circuit's tail from
+    the realization of its head gives the whole circuit's product.
     """
     u = _require_unitary(u)
     dim = u.shape[0]
-    total = np.eye(2 * dim, dtype=complex)
+    total = np.eye(2 * dim, dtype=complex) if initial is None else np.asarray(initial, complex)
     eye = np.eye(dim, dtype=complex)
     zero = np.zeros((dim, dim), dtype=complex)
     for g in c.gates:

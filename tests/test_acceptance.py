@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from eigenreflect.circuit import build_reflection, gate_counts
+from eigenreflect.circuit import synthesize
 from eigenreflect.cli import EXIT_BOUND_VIOLATED, main
 from eigenreflect.completion import completion_residual, factorize, gram_polynomial
-from eigenreflect.gqsp import branch_pair, reconstruct_polynomials, synthesize_angles
+from eigenreflect.gqsp import reconstruct_polynomials, synthesize_angles
 from eigenreflect.oracle import (
     apply_poly,
     decompose,
@@ -62,10 +62,8 @@ def battery():
     for delta in GRID_DELTAS:
         for epsilon in GRID_EPSILONS:
             gap = GapSpec(delta, epsilon=epsilon)
-            plan = select_parameters(gap)
-            ups = build_upsilon(plan.t, plan.n)
-            phi = factorize(gram_polynomial(ups)).phi
-            circ = build_reflection(plan, branch_pair(ups, phi))
+            syn = synthesize(gap)
+            plan, ups = syn.plan, syn.kernel
             for dim in GRID_DIMS:
                 for mult in GRID_MULTS:
                     for seed in GRID_SEEDS:
@@ -75,7 +73,7 @@ def battery():
                                 target_multiplicity=mult, seed=seed,
                             )
                         )
-                        report = verify_reflection(u, gap, circ, plan)
+                        report = verify_reflection(u, syn)
                         s = decompose(u)
                         kd = spectral_norm(
                             apply_poly(s, ups) - exact_projector(s, 0.0)
@@ -242,21 +240,11 @@ def test_criterion_10_trivial_identities():
     ok = True
     for delta, epsilon in ((math.pi / 2, 1e-1), (math.pi / 4, 1e-2), (math.pi, 0.5)):
         gap = GapSpec(delta, epsilon=epsilon)
-        plan = select_parameters(gap)
-        ups = build_upsilon(plan.t, plan.n)
-        phi = factorize(gram_polynomial(ups)).phi
-        circ = build_reflection(plan, branch_pair(ups, phi))
-        report = verify_reflection(np.eye(4), gap, circ, plan)
+        report = verify_reflection(np.eye(4), synthesize(gap))
         ok = ok and report.measured_error <= 1e-10
 
     gap = GapSpec(math.pi, epsilon=0.1)
-    plan = select_parameters(gap)
-    ups = build_upsilon(plan.t, plan.n)
-    phi = factorize(gram_polynomial(ups)).phi
-    circ = build_reflection(plan, branch_pair(ups, phi))
-    two_point = verify_reflection(
-        np.diag([1.0 + 0j, -1.0]), gap, circ, plan
-    )
+    two_point = verify_reflection(np.diag([1.0 + 0j, -1.0]), synthesize(gap))
     ok = ok and two_point.measured_error <= 4 * gap.epsilon
     verdict(
         10, ok,

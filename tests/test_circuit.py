@@ -14,19 +14,17 @@ from eigenreflect.circuit import (
     build_w,
     compose,
     gate_counts,
+    predicted_counts,
+    synthesize,
 )
-from eigenreflect.completion import factorize, gram_polynomial
+from eigenreflect.completion import CompletionError, factorize, gram_polynomial
 from eigenreflect.gqsp import GQSPAngleSequence, branch_pair
 from eigenreflect.poly import GapSpec, build_upsilon, select_parameters
 
 
 def plan_branches(delta, epsilon, *, use_paper_t_formula=False):
-    plan = select_parameters(
-        GapSpec(delta, epsilon=epsilon), use_paper_t_formula=use_paper_t_formula
-    )
-    ups = build_upsilon(plan.t, plan.n)
-    phi = factorize(gram_polynomial(ups)).phi
-    return plan, branch_pair(ups, phi)
+    syn = synthesize(GapSpec(delta, epsilon=epsilon), use_paper_t_formula=use_paper_t_formula)
+    return syn.plan, syn.branches
 
 
 class TestGateTypes:
@@ -151,3 +149,31 @@ class TestBuildReflection:
         short = GQSPAngleSequence(thetas=(0.1,), phis=(0.2,), lambda_final=0.0)
         with pytest.raises(ValueError, match="plan degree"):
             build_reflection(plan, (short, short))
+
+
+class TestSynthesize:
+    def test_record_holds_each_stage_once(self):
+        gap = GapSpec(math.pi / 4, theta=0.3, epsilon=1e-2)
+        syn = synthesize(gap)
+        plan = syn.plan
+        assert plan == select_parameters(gap)
+        assert syn.kernel == build_upsilon(plan.t, plan.n)
+        assert syn.completion == factorize(gram_polynomial(syn.kernel))
+        assert syn.branches == branch_pair(syn.kernel, syn.completion.phi)
+        assert syn.circuit == build_reflection(plan, syn.branches)
+        assert gate_counts(syn.circuit) == predicted_counts(plan)
+
+    def test_plus_branch_opens_the_circuit(self):
+        syn = synthesize(GapSpec(math.pi / 2, theta=-1.2, epsilon=0.1))
+        plus = build_w(syn.branches[0], phase_shift=-1.2)
+        assert len(plus.gates) == 2 * syn.plan.degree + 1
+        assert syn.circuit.gates[: len(plus.gates)] == plus.gates
+
+    def test_completion_tol_is_applied(self):
+        with pytest.raises(CompletionError):
+            synthesize(GapSpec(math.pi / 2, epsilon=0.01), completion_tol=1e-18)
+
+    def test_paper_formula_is_forwarded(self):
+        syn = synthesize(GapSpec(math.pi / 2, epsilon=0.5), use_paper_t_formula=True)
+        assert syn.plan.degree == 0
+        assert gate_counts(syn.circuit) == GateCounts(0, 0, 2)

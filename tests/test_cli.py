@@ -360,6 +360,20 @@ class TestSweep:
         assert not out.exists()
         assert "error: --theta must be finite, got nan" in capsys.readouterr().err
 
+    def test_theta_reaches_the_rows(self, tmp_path):
+        code, (row,), _ = self.run_sweep(
+            tmp_path, deltas="1.0", epsilons="0.1", dims="4", seeds="0", theta="0.5"
+        )
+        assert code == EXIT_OK
+        out = tmp_path / "report.json"
+        assert main([
+            "verify", "--delta", "1.0", "--epsilon", "0.1", "--theta", "0.5",
+            "--dim", "4", "--seed", "0", "--out", str(out),
+        ]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert row["measured_error"] == format(doc["measured_error"], ".17g")
+        assert row["completion_residual"] == format(doc["completion_residual"], ".17g")
+
     def test_deterministic_apart_from_timing(self, tmp_path):
         grids = {"deltas": "1.0", "epsilons": "0.01,0.1", "dims": "6", "seeds": "1,2"}
         _, rows_a, _ = self.run_sweep(tmp_path, name="a.csv", **grids)
@@ -406,6 +420,18 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["degree"] == 9
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy serves only the eigendecomposition; plan and synth never need it
+        package_root = str(Path(eigenreflect.__file__).resolve().parents[1])
+        pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, eigenreflect.cli; assert 'scipy' not in sys.modules"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_console_script(self, tmp_path):
         # Run the script declared in pyproject.toml through the wrapper an

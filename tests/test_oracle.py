@@ -1,13 +1,12 @@
 """Spectral ground truth and end-to-end verification verdicts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from eigenreflect.circuit import build_reflection
-from eigenreflect.completion import factorize, gram_polynomial
-from eigenreflect.gqsp import branch_pair
+from eigenreflect.circuit import synthesize
 from eigenreflect.oracle import (
     GapViolation,
     SpectralData,
@@ -27,13 +26,6 @@ from eigenreflect.poly import (
 )
 from eigenreflect.sim import spectral_norm
 from eigenreflect.testgen import SpectrumSpec, random_gapped_unitary
-
-
-def synthesize_composite(gap, *, use_paper_t_formula=False):
-    plan = select_parameters(gap, use_paper_t_formula=use_paper_t_formula)
-    ups = build_upsilon(plan.t, plan.n)
-    phi = factorize(gram_polynomial(ups)).phi
-    return plan, ups, build_reflection(plan, branch_pair(ups, phi))
 
 
 class TestDecompose:
@@ -152,8 +144,9 @@ class TestApplyPoly:
 class TestVerifyReflection:
     def test_identity_oracle_is_exact(self):
         gap = GapSpec(math.pi / 2, epsilon=0.1)
-        plan, _, circ = synthesize_composite(gap)
-        report = verify_reflection(np.eye(4), gap, circ, plan)
+        syn = synthesize(gap)
+        plan = syn.plan
+        report = verify_reflection(np.eye(4), syn)
         assert report.measured_error <= 1e-10
         assert report.bound == pytest.approx(0.4)
         assert report.bound_satisfied
@@ -163,9 +156,10 @@ class TestVerifyReflection:
 
     def test_two_point_spectrum_at_full_gap(self):
         gap = GapSpec(math.pi, epsilon=0.1)
-        plan, ups, circ = synthesize_composite(gap)
+        syn = synthesize(gap)
+        ups = syn.kernel
         u = np.diag([1.0 + 0j, -1.0])
-        report = verify_reflection(u, gap, circ, plan)
+        report = verify_reflection(u, syn)
         assert report.bound_satisfied
         # the composite block error is twice the squared kernel modulus
         # at the lone bystander phase
@@ -174,11 +168,12 @@ class TestVerifyReflection:
 
     def test_residuals_are_tight_on_generic_instance(self):
         gap = GapSpec(math.pi / 2, epsilon=1e-2)
-        plan, ups, circ = synthesize_composite(gap)
+        syn = synthesize(gap)
+        plan = syn.plan
         u = random_gapped_unitary(
             SpectrumSpec(dim=16, delta=gap.delta, target_multiplicity=3, seed=7)
         )
-        report = verify_reflection(u, gap, circ, plan)
+        report = verify_reflection(u, syn)
         assert report.bound_satisfied
         assert report.measured_error <= 4 * gap.epsilon
         assert report.unitarity_residual <= 1e-11
@@ -193,10 +188,11 @@ class TestVerifyReflection:
         # the circuit-free route: 2 Upsilon(U) Upsilon(U)^dagger - I is
         # what the composite block realizes up to completion error
         gap = GapSpec(math.pi / 4, epsilon=1e-2)
-        plan, ups, circ = synthesize_composite(gap)
+        syn = synthesize(gap)
+        ups = syn.kernel
         u = random_gapped_unitary(SpectrumSpec(dim=10, delta=gap.delta, seed=13))
         s = decompose(u)
-        report = verify_reflection(u, gap, circ, plan)
+        report = verify_reflection(u, syn)
         block = apply_poly(s, ups)
         ideal = 2.0 * exact_projector(s, 0.0) - np.eye(10)
         spectral_route = spectral_norm(
@@ -208,38 +204,51 @@ class TestVerifyReflection:
         # measured composite error is at most four times the kernel's
         # projector distance
         gap = GapSpec(math.pi / 8, epsilon=1e-3)
-        plan, ups, circ = synthesize_composite(gap)
+        syn = synthesize(gap)
+        ups = syn.kernel
         u = random_gapped_unitary(SpectrumSpec(dim=8, delta=gap.delta, seed=21))
         s = decompose(u)
-        report = verify_reflection(u, gap, circ, plan)
+        report = verify_reflection(u, syn)
         kernel_distance = spectral_norm(apply_poly(s, ups) - exact_projector(s, 0.0))
         assert report.measured_error <= 4 * kernel_distance + 1e-10
 
     def test_shifted_target_phase(self):
         theta = 0.9
         gap = GapSpec(math.pi / 2, theta=theta, epsilon=1e-2)
-        plan, _, circ = synthesize_composite(gap)
+        syn = synthesize(gap)
         u = random_gapped_unitary(
             SpectrumSpec(dim=12, delta=gap.delta, theta=theta, seed=5)
         )
-        report = verify_reflection(u, gap, circ, plan)
+        report = verify_reflection(u, syn)
         assert report.bound_satisfied
         assert report.measured_error <= 4 * gap.epsilon
         assert report.oracle_block_residual <= 1e-8
 
+    def test_checks_the_circuit_it_is_given(self):
+        # a wrong angle in the plus branch must show in the report: verify
+        # realizes the record's circuit, not a copy rebuilt from the plan
+        gap = GapSpec(math.pi / 2, epsilon=1e-2)
+        syn = synthesize(gap)
+        u = random_gapped_unitary(SpectrumSpec(dim=8, delta=gap.delta, seed=3))
+        gates = list(syn.circuit.gates)
+        gates[2] = replace(gates[2], theta=gates[2].theta + 0.1)
+        bad = replace(syn, circuit=replace(syn.circuit, gates=tuple(gates)))
+        assert verify_reflection(u, syn).oracle_block_residual <= 1e-8
+        assert verify_reflection(u, bad).oracle_block_residual > 1e-3
+
     def test_gap_violation_propagates(self):
         gap = GapSpec(math.pi / 2, epsilon=0.1)
-        plan, _, circ = synthesize_composite(gap)
+        syn = synthesize(gap)
         u = np.diag([1.0 + 0j, np.exp(1j * math.pi / 4)])
         with pytest.raises(GapViolation):
-            verify_reflection(u, gap, circ, plan)
+            verify_reflection(u, syn)
 
     def test_target_absent_propagates(self):
         gap = GapSpec(1.0, epsilon=0.1)
-        plan, _, circ = synthesize_composite(gap)
+        syn = synthesize(gap)
         u = np.diag([np.exp(2j), np.exp(-2j)])
         with pytest.raises(TargetAbsent):
-            verify_reflection(u, gap, circ, plan)
+            verify_reflection(u, syn)
 
 
 class TestSpectralData:

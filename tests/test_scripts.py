@@ -11,8 +11,8 @@ from eigenreflect.cli import EXIT_SWEEP_ROWS_FAILED
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name, *args):
-    env = dict(os.environ)
+def run_script(name, *args, **env_overrides):
+    env = {**os.environ, **env_overrides}
     src = str(Path(eigenreflect.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
@@ -42,3 +42,13 @@ class TestRunSweep:
         )
         assert proc.returncode == 0, proc.stderr
         assert "rows: 1   failed to run: 0   bound violations: 0" in proc.stdout
+
+    def test_no_temporary_files_left_behind(self, tmp_path):
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        proc = run_script(
+            "run_sweep.py", "--deltas", "1.0", "--epsilons", "0.1",
+            "--dims", "4", "--seeds", "0", TMPDIR=str(tmpdir),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert list(tmpdir.iterdir()) == []

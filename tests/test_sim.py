@@ -90,6 +90,15 @@ class TestRealize:
         w = realize(compose(circ, adjoint(circ)), u)
         assert spectral_norm(w - np.eye(16)) <= 1e-11
 
+    def test_tail_from_head_equals_whole_circuit(self):
+        u = random_unitary(4, seed=9)
+        plus, minus = build_w_branches(3, 2, phase_shift=0.4)
+        whole = compose(plus, adjoint(minus))
+        head = realize(plus, u)
+        tail = CircuitIR(whole.gates[len(plus.gates):], whole.declared_degree)
+        assert np.array_equal(realize(tail, u, initial=head), realize(whole, u))
+        assert np.array_equal(head, realize(plus, u))  # the snapshot is not mutated
+
     def test_phase_shift_equals_phased_oracle(self):
         u = random_unitary(4, seed=8)
         theta = 0.77
