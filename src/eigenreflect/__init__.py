@@ -6,8 +6,8 @@ an averaging-kernel polynomial, completes it to a complementary pair on
 the unit circle, synthesizes interleaved ancilla-rotation angles, and
 emits a circuit over {controlled-U, controlled-U adjoint, one-qubit
 rotations} whose upper block approximates the reflection 2P - 1 through
-the target eigenspace.  A dense simulator and an eigendecomposition
-oracle verify the construction end to end.
+the target eigenspace.  A simulator that only multiplies by U and an
+eigendecomposition oracle verify the construction end to end.
 """
 
 from .circuit import (

@@ -42,6 +42,7 @@ from .gqsp import ROTATION_CONVENTION, GQSPAngleSequence
 from .oracle import GapViolation, TargetAbsent, VerificationReport, verify_reflection
 from .poly import (
     DEFAULT_OVERSAMPLE,
+    MIN_OVERSAMPLE,
     GapSpec,
     ReflectionPlan,
     build_upsilon,
@@ -511,6 +512,10 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
     use_paper = bool(v.get("use_paper_t_formula", False))
     oversample = int(v.get("oversample", DEFAULT_OVERSAMPLE))
     completion_tol = float(v.get("completion_tol", DEFAULT_COMPLETION_TOL))
+    if oversample < MIN_OVERSAMPLE:
+        raise ValueError(f"--oversample must be at least {MIN_OVERSAMPLE}, got {oversample}")
+    if not (math.isfinite(completion_tol) and completion_tol > 0):
+        raise ValueError(f"--completion-tol must be finite and > 0, got {completion_tol!r}")
     theta = float(v.get("theta", 0.0))
     if not math.isfinite(theta):
         raise ValueError(f"--theta must be finite, got {theta!r}")

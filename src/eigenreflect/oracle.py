@@ -16,9 +16,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .circuit import CircuitIR, GateCounts, Synthesis, gate_counts, predicted_counts
-from .completion import completion_residual
 from .poly import ComplexPolynomial, GapSpec, ReflectionPlan
-from .sim import UNITARY_TOL, _require_unitary, pue_block, realize, spectral_norm
+from .sim import UNITARY_TOL, _apply_gates, _require_unitary, pue_block, spectral_norm
 
 __all__ = [
     "PHASE_MATCH_TOL",
@@ -152,6 +151,8 @@ def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport
     reflection through the exact target eigenspace, and the plus branch
     block with the kernel applied spectrally at phases shifted by theta,
     so both verdicts rest on the eigendecomposition, not on the angles.
+    `decompose` checks that u is unitary; the realization reuses that
+    check.  The completion residual is the record's, made once per plan.
     """
     plan = synthesis.plan
     gap = plan.gap
@@ -159,15 +160,14 @@ def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport
     multiplicity = validate_gap(s, gap)
     ideal = 2.0 * exact_projector(s, gap.theta) - np.eye(s.dim)
 
+    u = np.asarray(u, dtype=complex)
     split = 2 * plan.degree + 1  # gates of the plus branch walk
     gates = synthesis.circuit.gates
-    w_plus = realize(CircuitIR(gates[:split], plan.degree), u)
-    w = realize(CircuitIR(gates[split:], plan.degree), u, initial=w_plus)
+    w_plus = _apply_gates(CircuitIR(gates[:split], plan.degree), u)
+    w = _apply_gates(CircuitIR(gates[split:], plan.degree), u, initial=w_plus)
     measured = spectral_norm(pue_block(w, "top_left") - ideal)
     bound = 4.0 * gap.epsilon
     unitarity = spectral_norm(w.conj().T @ w - np.eye(2 * s.dim))
-
-    residual = completion_residual(synthesis.kernel, synthesis.completion.phi, 16 * split)
 
     branch_unitarity = spectral_norm(w_plus.conj().T @ w_plus - np.eye(2 * s.dim))
     shifted = replace(s, eigenphases=s.eigenphases - gap.theta)
@@ -181,7 +181,7 @@ def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport
         bound_satisfied=bool(measured <= bound + _BOUND_SLACK),
         counts=gate_counts(synthesis.circuit),
         predicted_counts=predicted_counts(plan),
-        completion_residual=residual,
+        completion_residual=synthesis.completion_residual,
         unitarity_residual=unitarity,
         oracle_block_residual=block_vs_oracle,
         params=plan,

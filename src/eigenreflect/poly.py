@@ -18,6 +18,7 @@ from numpy.polynomial import polynomial as npoly
 
 TRIM_TOL = 1e-14
 DEFAULT_OVERSAMPLE = 32
+MIN_OVERSAMPLE = 16
 
 __all__ = [
     "ComplexPolynomial",
@@ -183,8 +184,8 @@ def max_modulus_outside_gap(
     included, so the delta and pi boundaries are always hit.  This is a
     dense-grid estimate of the supremum, not a certified bound.
     """
-    if oversample < 16:
-        raise ValueError("oversample must be at least 16")
+    if oversample < MIN_OVERSAMPLE:
+        raise ValueError(f"oversample must be at least {MIN_OVERSAMPLE}")
     if not 0.0 < delta <= math.pi:
         raise ValueError(f"delta must lie in (0, pi], got {delta!r}")
     npts = oversample * (poly.degree + 1)

@@ -1,4 +1,4 @@
-"""Dense realization of ancilla circuits and spectral-norm computation.
+"""Realization of ancilla circuits and spectral-norm computation.
 
 Operators are plain complex ndarrays.  The realized space is
 (ancilla tensor system) with the ancilla as the leading factor, so a
@@ -6,8 +6,15 @@ Operators are plain complex ndarrays.  The realized space is
 ancilla bra/ket.  The oracle gate touches the system only when the
 ancilla is |1>, matching the shift convention of the angle synthesis.
 
-Everything here is written for desk-scale verification (system dims up
-to a few hundred): clarity over throughput, full matrices throughout.
+`realize` keeps the running product as its two ancilla row blocks,
+`top` (ancilla bra <0|) and `bottom` (bra <1|), each dim x (2 dim).
+An ancilla rotation mixes the two blocks with four scalars, O(dim^2);
+an oracle gate multiplies `bottom` alone by exp(-i phase_shift) U or
+its adjoint, one dim x dim by dim x (2 dim) product.  U is used only
+through such products, never diagonalized: the eigenbasis belongs to
+the oracle path (`oracle.decompose`), and the circuit check must not
+lean on the computation it is compared with.  Written for desk-scale
+verification, system dims up to 256.
 """
 
 from __future__ import annotations
@@ -34,13 +41,6 @@ def _require_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _rotation_matrix(g: AncillaRotation) -> np.ndarray:
-    c, s = math.cos(g.theta), math.sin(g.theta)
-    el = cmath.exp(1j * g.lam)
-    ep = cmath.exp(1j * g.phi)
-    return np.array([[el * ep * c, ep * s], [el * s, -c]], dtype=complex)
-
-
 def realize(c: CircuitIR, u: np.ndarray, initial: np.ndarray | None = None) -> np.ndarray:
     """Multiply out a circuit on ancilla-plus-system space.
 
@@ -49,22 +49,38 @@ def realize(c: CircuitIR, u: np.ndarray, initial: np.ndarray | None = None) -> n
     identity by default) on the right.  Realizing a circuit's tail from
     the realization of its head gives the whole circuit's product.
     """
-    u = _require_unitary(u)
+    return _apply_gates(c, _require_unitary(u), initial)
+
+
+def _apply_gates(c: CircuitIR, u: np.ndarray, initial: np.ndarray | None = None) -> np.ndarray:
+    """`realize` for a u already checked unitary (a complex ndarray)."""
     dim = u.shape[0]
-    total = np.eye(2 * dim, dtype=complex) if initial is None else np.asarray(initial, complex)
-    eye = np.eye(dim, dtype=complex)
-    zero = np.zeros((dim, dim), dtype=complex)
+    if initial is None:
+        top = np.eye(dim, 2 * dim, dtype=complex)
+        bottom = np.eye(dim, 2 * dim, k=dim, dtype=complex)
+    else:
+        initial = np.asarray(initial, dtype=complex)
+        if initial.ndim != 2 or initial.shape[0] != 2 * dim:
+            raise ValueError(f"initial must have {2 * dim} rows, got shape {initial.shape}")
+        top, bottom = initial[:dim], initial[dim:]
+    bodies: dict[tuple[int, float], np.ndarray] = {}
     for g in c.gates:
         if isinstance(g, AncillaRotation):
-            step = np.kron(_rotation_matrix(g), eye)
+            cos, sin = math.cos(g.theta), math.sin(g.theta)
+            el, ep = cmath.exp(1j * g.lam), cmath.exp(1j * g.phi)
+            top, bottom = (
+                (el * ep * cos) * top + (ep * sin) * bottom,
+                (el * sin) * top - cos * bottom,
+            )
         elif isinstance(g, ControlledOracle):
-            body = u if g.exponent == 1 else u.conj().T
-            body = cmath.exp(-1j * g.phase_shift) * body
-            step = np.block([[eye, zero], [zero, body]])
+            key = (g.exponent, g.phase_shift)
+            if key not in bodies:
+                power = u if g.exponent == 1 else u.conj().T
+                bodies[key] = cmath.exp(-1j * g.phase_shift) * power
+            bottom = bodies[key] @ bottom
         else:
             raise TypeError(f"unknown gate {g!r}")
-        total = step @ total
-    return total
+    return np.concatenate((top, bottom))
 
 
 def pue_block(w: np.ndarray, which: str = "top_left") -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from eigenreflect import circuit
 from eigenreflect.circuit import (
     AncillaRotation,
     CircuitIR,
@@ -17,7 +18,12 @@ from eigenreflect.circuit import (
     predicted_counts,
     synthesize,
 )
-from eigenreflect.completion import CompletionError, factorize, gram_polynomial
+from eigenreflect.completion import (
+    CompletionError,
+    completion_residual,
+    factorize,
+    gram_polynomial,
+)
 from eigenreflect.gqsp import GQSPAngleSequence, branch_pair
 from eigenreflect.poly import GapSpec, build_upsilon, select_parameters
 
@@ -162,6 +168,20 @@ class TestSynthesize:
         assert syn.branches == branch_pair(syn.kernel, syn.completion.phi)
         assert syn.circuit == build_reflection(plan, syn.branches)
         assert gate_counts(syn.circuit) == predicted_counts(plan)
+
+    def test_completion_residual_is_made_on_first_use(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            circuit, "completion_residual",
+            lambda *a: calls.append(a) or completion_residual(*a),
+        )
+        syn = synthesize(GapSpec(math.pi / 8, epsilon=1e-3))
+        assert calls == []  # synth never reports it
+        grid = 16 * (2 * syn.plan.degree + 1)
+        expected = completion_residual(syn.kernel, syn.completion.phi, grid)
+        assert syn.completion_residual == expected <= 1e-10
+        assert syn.completion_residual == expected
+        assert len(calls) == 1
 
     def test_plus_branch_opens_the_circuit(self):
         syn = synthesize(GapSpec(math.pi / 2, theta=-1.2, epsilon=0.1))

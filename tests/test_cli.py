@@ -124,6 +124,14 @@ class TestPlan:
         assert doc is None
         assert f"error: --theta must be finite, got {float(theta)!r}" in capsys.readouterr().err
 
+    def test_oversample_below_minimum_is_config_error(self, tmp_path, capsys):
+        code, doc = run_plan(
+            tmp_path, "--delta", "0.5", "--epsilon", "0.1", "--oversample", "2"
+        )
+        assert code == EXIT_CONFIG
+        assert doc is None
+        assert "error: --oversample must be at least 16, got 2" in capsys.readouterr().err
+
 
 class TestSynth:
     def synth(self, tmp_path, *extra):
@@ -164,6 +172,17 @@ class TestSynth:
         assert code == EXIT_OK
         circ = json.loads(c.read_text())
         assert [g["g"] for g in circ["gates"]] == ["rot", "rot"]
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_non_positive_completion_tol_is_config_error(self, tmp_path, capsys, tol):
+        code, c, _ = self.synth(
+            tmp_path, "--delta", "0.5", "--epsilon", "0.1", f"--completion-tol={tol}"
+        )
+        assert code == EXIT_CONFIG
+        assert not c.exists()
+        err = capsys.readouterr().err
+        assert f"error: --completion-tol must be finite and > 0, got {float(tol)!r}" in err
+        assert "completion failed" not in err
 
     def test_default_output_names(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -234,6 +253,28 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["params"]["degree"] == 189
         assert doc["oracle_block_residual"] <= 1e-8
+
+    def test_dim_256(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = main([
+            "verify", "--delta", PI_HALF, "--epsilon", "1e-3",
+            "--dim", "256", "--seed", "2", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["params"]["degree"] == 21
+        assert doc["bound_satisfied"] is True
+        assert doc["oracle_block_residual"] <= 1e-8
+
+    def test_reruns_are_byte_identical(self, tmp_path):
+        flags = [
+            "--delta", repr(math.pi / 3), "--epsilon", "1e-2", "--theta", "0.8",
+            "--dim", "24", "--multiplicity", "3", "--seed", "4",
+        ]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["verify", *flags, "--out", str(first)]) == EXIT_OK
+        assert main(["verify", *flags, "--out", str(second)]) == EXIT_OK
+        assert first.read_bytes() == second.read_bytes()
 
     def test_unreachable_completion_tolerance(self, tmp_path):
         code = main([

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from eigenreflect import circuit
 from eigenreflect.circuit import synthesize
 from eigenreflect.oracle import (
     GapViolation,
@@ -235,6 +236,24 @@ class TestVerifyReflection:
         bad = replace(syn, circuit=replace(syn.circuit, gates=tuple(gates)))
         assert verify_reflection(u, syn).oracle_block_residual <= 1e-8
         assert verify_reflection(u, bad).oracle_block_residual > 1e-3
+
+    def test_completion_residual_is_made_once_per_record(self, monkeypatch):
+        gap = GapSpec(math.pi / 2, epsilon=1e-2)
+        syn = synthesize(gap)
+        calls = []
+        real = circuit.completion_residual
+        monkeypatch.setattr(
+            circuit, "completion_residual", lambda *a: calls.append(a) or real(*a)
+        )
+        for seed in (1, 2):
+            u = random_gapped_unitary(SpectrumSpec(dim=4, delta=gap.delta, seed=seed))
+            assert verify_reflection(u, syn).completion_residual == syn.completion_residual
+        assert len(calls) == 1
+
+    def test_non_unitary_oracle_rejected(self):
+        syn = synthesize(GapSpec(math.pi / 2, epsilon=0.1))
+        with pytest.raises(ValueError, match="not unitary"):
+            verify_reflection(np.diag([1.0, 0.5]), syn)
 
     def test_gap_violation_propagates(self):
         gap = GapSpec(math.pi / 2, epsilon=0.1)

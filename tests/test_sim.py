@@ -1,4 +1,4 @@
-"""Dense realization and norm computation."""
+"""Realization against a dense reference, block extraction and norms."""
 
 import math
 
@@ -107,6 +107,53 @@ class TestRealize:
         assert spectral_norm(
             realize(circ, u) - realize(plain, np.exp(-1j * theta) * u)
         ) <= 1e-12
+
+
+def dense_realize(c, u, initial=None):
+    # reference: one full (2 dim) x (2 dim) gate matrix per gate
+    dim = u.shape[0]
+    eye, zero = np.eye(dim), np.zeros((dim, dim))
+    total = np.eye(2 * dim, dtype=complex) if initial is None else initial
+    for g in c.gates:
+        if isinstance(g, AncillaRotation):
+            cos, sin = math.cos(g.theta), math.sin(g.theta)
+            el, ep = np.exp(1j * g.lam), np.exp(1j * g.phi)
+            step = np.kron(np.array([[el * ep * cos, ep * sin], [el * sin, -cos]]), eye)
+        else:
+            body = np.exp(-1j * g.phase_shift) * np.linalg.matrix_power(u, g.exponent)
+            step = np.block([[eye, zero], [zero, body]])
+        total = step @ total
+    return total
+
+
+def random_circuit(rng, length):
+    gates = []
+    for _ in range(length):
+        if rng.random() < 0.5:
+            gates.append(AncillaRotation(*rng.uniform(-math.pi, math.pi, size=3)))
+        else:
+            phase = float(rng.choice([0.0, 0.7, rng.uniform(-math.pi, math.pi)]))
+            gates.append(ControlledOracle(int(rng.choice([1, -1])), phase))
+    return CircuitIR(tuple(gates), length)
+
+
+class TestAgainstDenseProduct:
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_matches_the_full_gate_product(self, dim):
+        rng = np.random.default_rng(dim)
+        u = random_unitary(dim, seed=100 + dim)
+        for _ in range(4):
+            circ = random_circuit(rng, 24)
+            initial = random_unitary(2 * dim, seed=int(rng.integers(1 << 30)))
+            assert np.max(np.abs(realize(circ, u) - dense_realize(circ, u))) <= 1e-13
+            assert (
+                np.max(np.abs(realize(circ, u, initial) - dense_realize(circ, u, initial)))
+                <= 1e-13
+            )
+
+    def test_initial_with_wrong_row_count_rejected(self):
+        with pytest.raises(ValueError, match="rows"):
+            realize(CircuitIR((), 0), np.eye(2), initial=np.eye(5))
 
 
 def build_w_branches(t, n, phase_shift=0.0):
