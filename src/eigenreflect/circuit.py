@@ -35,9 +35,12 @@ __all__ = [
     "build_reflection",
     "gate_counts",
     "predicted_counts",
+    "MAX_DEGREE",
     "Synthesis",
     "synthesize",
 ]
+
+MAX_DEGREE = 4096  # largest plan degree `synthesize` accepts
 
 
 @dataclass(frozen=True)
@@ -191,9 +194,16 @@ def synthesize(
 ) -> Synthesis:
     """Plan (t, n), build the kernel, complete it, synthesize both branches, compose.
 
-    Raises CompletionError when the completion misses completion_tol.
+    Raises ValueError, before anything is built, when the plan's degree
+    (t - 1) n exceeds MAX_DEGREE, and CompletionError when the
+    completion misses completion_tol.
     """
     plan = select_parameters(gap, use_paper_t_formula=use_paper_t_formula)
+    if plan.degree > MAX_DEGREE:
+        raise ValueError(
+            f"plan degree {plan.degree} exceeds the cap of {MAX_DEGREE}; "
+            "widen delta or raise epsilon"
+        )
     kernel = build_upsilon(plan.t, plan.n)
     completion = factorize(gram_polynomial(kernel), tol=completion_tol)
     branches = branch_pair(kernel, completion.phi)

@@ -5,7 +5,9 @@ JSON schemas, the matrix file layout, and the sweep CSV.  All floats
 are rendered with 17 significant digits so files round-trip exactly,
 dictionary key order is fixed by construction, and every write is
 whole-file atomic (temp file in the target directory, then rename).
-Given the same config and seed, outputs are byte-identical.
+Given the same config and seed, outputs are byte-identical for a fixed
+BLAS thread count (the thread count can change the rounding of matrix
+products, hence the last digits of the reported floats).
 
 Exit codes: 0 success (verify: bound met), 1 verify ran but the bound
 was violated (sweep: on some row), 2 configuration or input error,

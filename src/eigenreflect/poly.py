@@ -136,10 +136,11 @@ def select_parameters(gap: GapSpec, *, use_paper_t_formula: bool = False) -> Ref
     """
     n = math.ceil(math.log(1.0 / gap.epsilon))
     span = 2.0 * math.sin(0.5 * gap.delta)  # |e^{i delta} - 1|
-    if use_paper_t_formula:
-        t = math.ceil(math.e / (2.0 * span))
-    else:
-        t = math.ceil(2.0 * math.e / span)
+    factor = 0.5 * math.e if use_paper_t_formula else 2.0 * math.e
+    length = factor / span if span > 0.0 else math.inf
+    if not math.isfinite(length):
+        raise ValueError(f"delta {gap.delta!r} is too small: the averaging length overflows")
+    t = math.ceil(length)
     return ReflectionPlan(gap=gap, t=max(t, 1), n=max(n, 1))
 
 

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import eigenreflect
+from eigenreflect import circuit
+from eigenreflect.circuit import MAX_DEGREE
 from eigenreflect.cli import (
     EXIT_BOUND_VIOLATED,
     EXIT_COMPLETION,
@@ -27,6 +29,7 @@ from eigenreflect.cli import (
     main,
     save_matrix,
 )
+from eigenreflect.poly import GapSpec, select_parameters
 
 PI_HALF = repr(math.pi / 2)
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -132,6 +135,19 @@ class TestPlan:
         assert doc is None
         assert "error: --oversample must be at least 16, got 2" in capsys.readouterr().err
 
+    def test_degree_above_the_synthesis_cap_still_plans(self, tmp_path):
+        code, doc = run_plan(tmp_path, "--delta", "1e-6", "--epsilon", "0.01")
+        assert code == EXIT_OK
+        assert doc["degree"] > MAX_DEGREE
+
+    @pytest.mark.parametrize("delta", ["1e-320", "5e-324"])
+    def test_overflowing_averaging_length_is_config_error(self, tmp_path, capsys, delta):
+        code, doc = run_plan(tmp_path, "--delta", delta, "--epsilon", "0.1")
+        assert code == EXIT_CONFIG
+        assert doc is None
+        err = capsys.readouterr().err
+        assert f"error: delta {float(delta)!r} is too small: the averaging length overflows" in err
+
 
 class TestSynth:
     def synth(self, tmp_path, *extra):
@@ -183,6 +199,20 @@ class TestSynth:
         err = capsys.readouterr().err
         assert f"error: --completion-tol must be finite and > 0, got {float(tol)!r}" in err
         assert "completion failed" not in err
+
+    @pytest.mark.parametrize("delta", ["1e-6", "1e-300"])
+    def test_degree_above_cap_is_config_error(self, tmp_path, capsys, monkeypatch, delta):
+        def refuse(*args):
+            raise AssertionError("the kernel was built for a plan over the cap")
+
+        monkeypatch.setattr(circuit, "build_upsilon", refuse)
+        code, c, a = self.synth(tmp_path, "--delta", delta, "--epsilon", "0.01")
+        assert code == EXIT_CONFIG
+        assert not c.exists() and not a.exists()
+        degree = select_parameters(GapSpec(float(delta), epsilon=0.01)).degree
+        assert degree > MAX_DEGREE
+        err = capsys.readouterr().err
+        assert f"error: plan degree {degree} exceeds the cap of {MAX_DEGREE}" in err
 
     def test_default_output_names(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -302,6 +332,17 @@ class TestVerify:
         ])
         assert code == EXIT_TARGET_ABSENT
 
+    def test_degree_above_cap_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main([
+            "verify", "--dim", "4", "--delta", "1e-6", "--epsilon", "0.01",
+            "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"error: plan degree 27182815 exceeds the cap of {MAX_DEGREE}" in err
+
     def test_matrix_and_dim_conflict(self, tmp_path):
         m = tmp_path / "u.json"
         save_matrix(str(m), np.eye(2, dtype=complex))
@@ -378,6 +419,18 @@ class TestSweep:
         assert bad["measured_error"] == "" and bad["satisfied"] == "false"
         err = capsys.readouterr().err
         assert "delta must lie in (0, pi], got 4.0" in err
+        assert "1 row(s) failed to run" in err
+
+    def test_degree_above_cap_fails_its_row(self, tmp_path, capsys):
+        code, rows, _ = self.run_sweep(
+            tmp_path, deltas="0.5,1e-6", epsilons="0.1", dims="4", seeds="0"
+        )
+        assert code == EXIT_SWEEP_ROWS_FAILED
+        good, capped = rows
+        assert good["satisfied"] == "true"
+        assert capped["degree"] == "" and capped["measured_error"] == ""
+        err = capsys.readouterr().err
+        assert f"plan degree 16309689 exceeds the cap of {MAX_DEGREE}" in err
         assert "1 row(s) failed to run" in err
 
     def test_bound_violation_exit_code(self, tmp_path):
@@ -462,17 +515,30 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["degree"] == 9
 
-    def test_cli_import_leaves_scipy_unloaded(self):
-        # scipy serves only the eigendecomposition; plan and synth never need it
+    def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
+        # the program runs on numpy alone: importing the cli, and a verify
+        # and a sweep run through it, load no scipy module
         package_root = str(Path(eigenreflect.__file__).resolve().parents[1])
         pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+        script = (
+            "import sys\n"
+            "from eigenreflect.cli import main\n"
+            "assert 'scipy' not in sys.modules\n"
+            "flags = ['--delta', '1.0', '--epsilon', '0.1']\n"
+            "assert main(['verify', '--dim', '4', '--out', sys.argv[1], *flags]) == 0\n"
+            "assert main(['sweep', '--deltas', '1.0', '--epsilons', '0.1', '--dims', '4',\n"
+            "             '--seeds', '0', '--csv-out', sys.argv[2]]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, eigenreflect.cli; assert 'scipy' not in sys.modules"],
+            [sys.executable, "-c", script,
+             str(tmp_path / "report.json"), str(tmp_path / "sweep.csv")],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "report.json").read_text())["bound_satisfied"]
 
     def test_console_script(self, tmp_path):
         # Run the script declared in pyproject.toml through the wrapper an

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eigenreflect import circuit
 from eigenreflect.circuit import synthesize
@@ -55,6 +57,120 @@ class TestDecompose:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             decompose(np.ones((2, 3)))
+
+
+def _with_phases(phases, seed):
+    dim = len(phases)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return (q * np.exp(1j * np.asarray(phases))) @ q.conj().T
+
+
+def _cyclic_shift(dim):
+    return np.roll(np.eye(dim, dtype=complex), 1, axis=0)
+
+
+def _assert_exact(s, u):
+    assert spectral_norm(s.reconstruct() - u) <= 1e-12
+    v = s.eigenvectors
+    assert spectral_norm(v.conj().T @ v - np.eye(s.dim)) <= 1e-12
+    assert np.all(np.diff(s.eigenphases) >= 0)
+    assert -math.pi < s.eigenphases[0] and s.eigenphases[-1] <= math.pi
+
+
+class TestDecomposeAdversarial:
+    """Spectra that leave the Cayley pole the least room, or none to spare."""
+
+    @pytest.mark.parametrize("dim", [2, 64, 256])
+    def test_cyclic_shift(self, dim):
+        # the dim-th roots of unity: every empty arc is exactly 2 pi / dim,
+        # and -1 is an exact eigenvalue, reported as +pi (the last root)
+        # whichever side of the cut rounding lands on
+        u = _cyclic_shift(dim)
+        s = decompose(u)
+        _assert_exact(s, u)
+        roots = 2 * math.pi * np.arange(-dim // 2 + 1, dim // 2 + 1) / dim
+        assert np.max(np.abs(s.eigenphases - roots)) <= 1e-12
+
+    def test_forty_phases_within_1e_7(self):
+        rng = np.random.default_rng(5)
+        phases = 0.7 + 1e-7 * rng.uniform(size=40)
+        u = _with_phases(phases, seed=6)
+        s = decompose(u)
+        _assert_exact(s, u)
+        assert np.max(np.abs(s.eigenphases - np.sort(phases))) <= 1e-12
+
+    def test_minus_one_in_a_random_basis(self):
+        # seed 2 lands one of the pair just past -pi before the cut snaps it
+        u = _with_phases([math.pi, math.pi, 0.4, -2.0, 1.5], seed=2)
+        s = decompose(u)
+        _assert_exact(s, u)
+        assert s.eigenphases[-2:] == pytest.approx([math.pi, math.pi], abs=1e-12)
+        assert s.eigenphases[0] > -math.pi + 1e-12
+
+    def test_dim_one(self):
+        u = np.array([[np.exp(-2.5j)]])
+        s = decompose(u)
+        _assert_exact(s, u)
+        assert s.eigenphases == pytest.approx([-2.5], abs=1e-15)
+        assert abs(abs(s.eigenvectors[0, 0]) - 1.0) <= 1e-15
+
+    def test_dim_zero(self):
+        s = decompose(np.zeros((0, 0)))
+        assert s.eigenphases.shape == (0,) and s.eigenvectors.shape == (0, 0)
+
+    def test_multiplicity_three_target(self):
+        spec = SpectrumSpec(dim=48, delta=0.6, theta=-1.3, target_multiplicity=3, seed=4)
+        u = random_gapped_unitary(spec)
+        s = decompose(u)
+        _assert_exact(s, u)
+        p = exact_projector(s, -1.3)
+        assert np.trace(p).real == pytest.approx(3.0, abs=1e-12)
+        assert spectral_norm(p @ u - np.exp(-1.3j) * p) <= 1e-12
+
+
+class TestDecomposeProperty:
+    @given(
+        dim=st.integers(1, 64),
+        delta=st.floats(0.05, 2.9),
+        theta=st.floats(-math.pi, math.pi),
+        multiplicity=st.integers(1, 64),
+        seed=st.integers(0, 10_000),
+    )
+    @example(dim=9, delta=0.5, theta=math.pi, multiplicity=2, seed=1)
+    @example(dim=64, delta=0.05, theta=0.0, multiplicity=64, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_eigvals(self, dim, delta, theta, multiplicity, seed):
+        spec = SpectrumSpec(
+            dim=dim, delta=delta, theta=theta,
+            target_multiplicity=min(multiplicity, dim), seed=seed,
+        )
+        u = random_gapped_unitary(spec)
+        s = decompose(u)
+        assert np.all(np.diff(s.eigenphases) >= 0)
+        assert -math.pi < s.eigenphases[0] and s.eigenphases[-1] <= math.pi
+        # the multisets agree: pair each eigenvalue with its nearest unused match
+        unused = list(np.linalg.eigvals(u))
+        for z in np.exp(1j * s.eigenphases):
+            nearest = int(np.argmin(np.abs(np.asarray(unused) - z)))
+            assert abs(unused.pop(nearest) - z) <= 1e-12
+
+
+class TestDecomposeAgainstSchur:
+    @pytest.mark.parametrize(
+        "dim, multiplicity, theta", [(16, 1, 0.0), (64, 3, 2.2), (128, 1, -0.9), (128, 3, math.pi)]
+    )
+    def test_target_projectors_agree(self, dim, multiplicity, theta):
+        sla = pytest.importorskip("scipy.linalg")
+        spec = SpectrumSpec(
+            dim=dim, delta=0.4, theta=theta, target_multiplicity=multiplicity, seed=dim
+        )
+        u = random_gapped_unitary(spec)
+        t, z = sla.schur(u, output="complex")
+        mask = np.abs(np.angle(np.diagonal(t) * np.exp(-1j * theta))) <= 1e-9
+        assert np.count_nonzero(mask) == multiplicity
+        reference = z[:, mask] @ z[:, mask].conj().T
+        assert spectral_norm(exact_projector(decompose(u), theta) - reference) <= 1e-12
 
 
 class TestValidateGap:
