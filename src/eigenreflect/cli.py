@@ -120,9 +120,7 @@ class JobConfig:
 
     def __post_init__(self) -> None:
         if self.matrix_path is not None and self.spectrum is not None:
-            raise ValueError(
-                "exactly one input source: a matrix file or spectrum parameters"
-            )
+            raise ValueError("give either --matrix or --dim, not both")
 
 
 # ---------------------------------------------------------------- rendering
@@ -188,14 +186,21 @@ def _emit(path: str | None, text: str) -> None:
 
 
 def load_matrix(path: str) -> np.ndarray:
+    """The matrix a file holds; malformed content is a ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    dim = int(data["dim"])
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ValueError(f"matrix file {path!r}: shapes do not match dim={dim}")
-    return re + 1j * im
+    dim = data.get("dim") if isinstance(data, dict) else None
+    if type(dim) is not int:  # bool, a subclass of int, is not a dimension
+        raise ValueError(f"matrix file {path!r}: expected a JSON object with an integer 'dim'")
+    try:
+        parts = np.asarray([data["re"], data["im"]], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        parts = np.zeros(0)  # reported as a shape mismatch below
+    if parts.shape != (2, dim, dim):
+        raise ValueError(f"matrix file {path!r}: 're' and 'im' must be {dim} x {dim} numbers")
+    if not np.isfinite(parts).all():
+        raise ValueError(f"matrix file {path!r}: entries must be finite")
+    return parts[0] + 1j * parts[1]
 
 
 def save_matrix(path: str, u: np.ndarray) -> None:
@@ -362,11 +367,7 @@ def cmd_sweep(cfg: JobConfig) -> int:
                     buffer.write(",".join(row[name] for name in _SWEEP_COLUMNS) + "\n")
                     failed += row["measured_error"] == ""
                     violated += row["satisfied"] != "true"
-    text = buffer.getvalue()
-    if cfg.csv_out is None or cfg.csv_out == "-":
-        sys.stdout.write(text)
-    else:
-        _write_atomic(cfg.csv_out, text)
+    _emit(cfg.csv_out, buffer.getvalue())
     if failed:
         print(f"sweep: {failed} row(s) failed to run", file=sys.stderr)
         return EXIT_SWEEP_ROWS_FAILED
@@ -482,13 +483,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _list_of(kind: type, value: Any) -> tuple[Any, ...]:
+def _get(v: dict[str, Any], key: str, kind: type, default: Any = None) -> Any:
+    """v[key] converted by `kind`, default when absent; a bad value is a ValueError naming key."""
+    if key not in v:
+        return default
+    try:
+        return kind(v[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"invalid value for {key!r}: {v[key]!r}") from None
+
+
+def _list_of(kind: type, v: dict[str, Any], key: str) -> tuple[Any, ...]:
     """A comma-separated flag string or a config-file JSON list, as `kind`s."""
-    if value is None:
-        return ()
+    value = v.get(key, [])
     if isinstance(value, str):
         value = [s.strip() for s in value.split(",") if s.strip()]
-    return tuple(kind(x) for x in value)
+    if not isinstance(value, list):
+        raise ValueError(f"invalid value for {key!r}: {value!r} (want a list or a string)")
+    return tuple(_get({key: x}, key, kind) for x in value)
 
 
 def _merge_with_config(args: argparse.Namespace) -> dict[str, Any]:
@@ -512,13 +524,13 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
     v = _merge_with_config(args)
     command = args.command
     use_paper = bool(v.get("use_paper_t_formula", False))
-    oversample = int(v.get("oversample", DEFAULT_OVERSAMPLE))
-    completion_tol = float(v.get("completion_tol", DEFAULT_COMPLETION_TOL))
+    oversample = _get(v, "oversample", int, DEFAULT_OVERSAMPLE)
+    completion_tol = _get(v, "completion_tol", float, DEFAULT_COMPLETION_TOL)
     if oversample < MIN_OVERSAMPLE:
         raise ValueError(f"--oversample must be at least {MIN_OVERSAMPLE}, got {oversample}")
     if not (math.isfinite(completion_tol) and completion_tol > 0):
         raise ValueError(f"--completion-tol must be finite and > 0, got {completion_tol!r}")
-    theta = float(v.get("theta", 0.0))
+    theta = _get(v, "theta", float, 0.0)
     if not math.isfinite(theta):
         raise ValueError(f"--theta must be finite, got {theta!r}")
 
@@ -526,39 +538,37 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
     if command in ("plan", "synth", "verify"):
         if v.get("delta") is None or v.get("epsilon") is None:
             raise ValueError("--delta and --epsilon are required")
-        gap = GapSpec(delta=float(v["delta"]), epsilon=float(v["epsilon"]), theta=theta)
-
-    if command == "verify" and v.get("matrix") is not None and v.get("dim") is not None:
-        raise ValueError("give either --matrix or --dim, not both")
+        delta, epsilon = _get(v, "delta", float), _get(v, "epsilon", float)
+        gap = GapSpec(delta=delta, epsilon=epsilon, theta=theta)
 
     spectrum: SpectrumSpec | None = None
-    if command == "verify" and v.get("matrix") is None and v.get("dim") is not None:
+    if command == "verify" and v.get("dim") is not None:
         assert gap is not None
         spectrum = SpectrumSpec(
-            dim=int(v["dim"]),
+            dim=_get(v, "dim", int),
             delta=gap.delta,
             theta=theta,
-            target_multiplicity=int(v.get("multiplicity", 1)),
-            seed=int(v.get("seed", 0)),
+            target_multiplicity=_get(v, "multiplicity", int, 1),
+            seed=_get(v, "seed", int, 0),
         )
 
     return JobConfig(
         command=command,
         gap=gap,
-        matrix_path=v.get("matrix"),
+        matrix_path=_get(v, "matrix", os.fspath),
         spectrum=spectrum,
-        out=v.get("out"),
-        circuit_out=v.get("circuit_out"),
-        angles_out=v.get("angles_out"),
-        csv_out=v.get("csv_out"),
+        out=_get(v, "out", os.fspath),
+        circuit_out=_get(v, "circuit_out", os.fspath),
+        angles_out=_get(v, "angles_out", os.fspath),
+        csv_out=_get(v, "csv_out", os.fspath),
         theta=theta,
         use_paper_t_formula=use_paper,
         oversample=oversample,
         completion_tol=completion_tol,
-        deltas=_list_of(float, v.get("deltas")),
-        epsilons=_list_of(float, v.get("epsilons")),
-        dims=_list_of(int, v.get("dims")),
-        seeds=_list_of(int, v.get("seeds")),
+        deltas=_list_of(float, v, "deltas"),
+        epsilons=_list_of(float, v, "epsilons"),
+        dims=_list_of(int, v, "dims"),
+        seeds=_list_of(int, v, "seeds"),
     )
 
 
@@ -585,7 +595,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except TargetAbsent as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TARGET_ABSENT
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -12,12 +12,13 @@ whose first column is (p(x), q(x)).  The rotation convention is
                           [exp(i lam)sin(theta),      -cos(theta)]].
 
 Synthesis runs the product backwards, one degree per step.  The two
-leading coefficients fix the outermost rotation; undoing it and
-shifting the lower branch down drops the degree by one exactly.  When
-both leading coefficients sit below the tie-break tolerance (a pair
-padded above its true degree), the step is recovered from the trailing
-coefficients instead, chosen so the shifted-out constant vanishes; such
-steps are listed on the result and announced with a RuntimeWarning.
+leading coefficients fix the outermost rotation, their phases read as
+they are however small; undoing it and shifting the lower branch down
+drops the degree by one exactly.  Only when both sit below the
+tie-break tolerance (a pair padded above its true degree) is the step
+recovered from the trailing coefficients instead, chosen so the
+shifted-out constant vanishes; such steps are listed on the result and
+announced with a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -108,16 +109,10 @@ def synthesize_angles(p: ComplexPolynomial, q: ComplexPolynomial) -> GQSPAngleSe
             degenerate.append(j)
             bot_p, bot_q = pw[0], qw[0]
             theta = math.atan2(abs(bot_q), abs(bot_p))
-            if abs(bot_p) > TOP_TOL and abs(bot_q) > TOP_TOL:
-                phi = cmath.phase(bot_p * bot_q.conjugate())
-            else:
-                phi = 0.0
+            phi = cmath.phase(bot_p * bot_q.conjugate())
         else:
             theta = math.atan2(abs(top_p), abs(top_q))
-            if abs(top_p) <= TOP_TOL or abs(top_q) <= TOP_TOL:
-                phi = 0.0  # phase is unconstrained here; absorbed downstream
-            else:
-                phi = cmath.phase(-top_p * top_q.conjugate())
+            phi = cmath.phase(-top_p * top_q.conjugate())
         thetas[j] = theta
         phis[j] = phi
         c, s = math.cos(theta), math.sin(theta)
@@ -127,8 +122,9 @@ def synthesize_angles(p: ComplexPolynomial, q: ComplexPolynomial) -> GQSPAngleSe
         pw = new_p[:j]
         qw = new_q[1 : j + 1]
     thetas[0] = math.atan2(abs(qw[0]), abs(pw[0]))
-    lam = cmath.phase(qw[0]) if abs(qw[0]) > TOP_TOL else 0.0
-    phis[0] = cmath.phase(pw[0]) - lam if abs(pw[0]) > TOP_TOL else 0.0
+    # an exact zero has no phase: the -0j of a negated zero partner would read as pi
+    lam = cmath.phase(qw[0]) if qw[0] != 0 else 0.0
+    phis[0] = cmath.phase(pw[0]) - lam if pw[0] != 0 else 0.0
     if degenerate:
         warnings.warn(
             f"{len(degenerate)} synthesis step(s) had no leading data and were "

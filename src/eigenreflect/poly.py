@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-TRIM_TOL = 1e-14
 DEFAULT_OVERSAMPLE = 32
 MIN_OVERSAMPLE = 16
 
@@ -36,20 +35,17 @@ __all__ = [
 class ComplexPolynomial:
     """Dense monomial-basis coefficients, constant term first.
 
-    Trailing coefficients below 1e-14 in magnitude are trimmed at
-    construction so degrees stay honest after convolutions; the zero
-    polynomial keeps a single zero entry.
+    The degree is the number of coefficients given, less one: nothing
+    is trimmed, so a kernel whose top coefficient t^-n falls far below
+    machine epsilon keeps its degree.  An empty tuple becomes the
+    single zero entry.
     """
 
     coeffs: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        cs = [complex(c) for c in self.coeffs]
-        while len(cs) > 1 and abs(cs[-1]) < TRIM_TOL:
-            cs.pop()
-        if not cs:
-            cs = [0j]
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = tuple(complex(c) for c in self.coeffs)
+        object.__setattr__(self, "coeffs", cs or (0j,))
 
     @property
     def degree(self) -> int:

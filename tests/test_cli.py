@@ -35,6 +35,13 @@ PI_HALF = repr(math.pi / 2)
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
+def child_env():
+    """The environment, with the imported package's directory on PYTHONPATH."""
+    package_root = str(Path(eigenreflect.__file__).resolve().parents[1])
+    pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+
+
 def run_plan(tmp_path, *extra):
     out = tmp_path / "plan.json"
     code = main(["plan", "--out", str(out), *extra])
@@ -214,6 +221,17 @@ class TestSynth:
         err = capsys.readouterr().err
         assert f"error: plan degree {degree} exceeds the cap of {MAX_DEGREE}" in err
 
+    def test_degree_1547_synthesizes(self, tmp_path):
+        # the kernel's top coefficient 222^-7 = 3.8e-17 keeps its place, so
+        # both branches carry the plan's degree
+        code, c, a = self.synth(tmp_path, "--delta", repr(math.pi / 128), "--epsilon", "1e-3")
+        assert code == EXIT_OK
+        assert json.loads(c.read_text())["degree"] == 1547
+        angles = json.loads(a.read_text())
+        for branch in ("plus", "minus"):
+            assert len(angles[branch]["thetas"]) == 1548
+            assert angles[branch]["degenerate_steps"] == []
+
     def test_default_output_names(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["synth", "--delta", "1.2", "--epsilon", "0.1"]) == EXIT_OK
@@ -271,17 +289,20 @@ class TestVerify:
         assert cmp["paper"]["max_modulus_outside_gap"] == pytest.approx(1.0)
         assert cmp["corrected"]["degree"] > cmp["paper"]["degree"]
 
-    def test_degree_189_block_matches_oracle(self, tmp_path):
-        # the plan's kernel top coefficient is 1.9e-12: the partner must
-        # keep its full degree for the angles to rebuild the kernel
+    @pytest.mark.parametrize("k, degree", [(16, 189), (64, 770)])
+    def test_high_degree_block_matches_oracle(self, tmp_path, k, degree):
+        # the kernel's top coefficient t^-n is 1.9e-12 at degree 189 and
+        # 4.8e-15 at degree 770: the kernel and its partner must keep their
+        # full degree for the angles to rebuild the kernel
         out = tmp_path / "report.json"
         code = main([
-            "verify", "--delta", repr(math.pi / 16), "--epsilon", "1e-3",
+            "verify", "--delta", repr(math.pi / k), "--epsilon", "1e-3",
             "--dim", "16", "--seed", "1", "--out", str(out),
         ])
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
-        assert doc["params"]["degree"] == 189
+        assert doc["params"]["degree"] == degree
+        assert doc["bound_satisfied"] is True
         assert doc["oracle_block_residual"] <= 1e-8
 
     def test_dim_256(self, tmp_path):
@@ -355,6 +376,30 @@ class TestVerify:
     def test_no_input_source(self):
         code = main(["verify", "--delta", "1.0", "--epsilon", "0.1"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            ("[1, 2]", "expected a JSON object with an integer 'dim'"),
+            ('{"dim": null, "re": [[1]], "im": [[0]]}', "with an integer 'dim'"),
+            ('{"re": [[1]], "im": [[0]]}', "with an integer 'dim'"),
+            ('{"dim": 1.5, "re": [[1]], "im": [[0]]}', "with an integer 'dim'"),
+            ('{"dim": true, "re": [[1]], "im": [[0]]}', "with an integer 'dim'"),
+            ('{"dim": 1, "re": [[NaN]], "im": [[0]]}', "entries must be finite"),
+            ('{"dim": 1, "re": [[1]], "im": [[Infinity]]}', "entries must be finite"),
+            ('{"dim": 2, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}', "must be 2 x 2 numbers"),
+            ('{"dim": 1, "re": [[1]]}', "must be 1 x 1 numbers"),
+        ],
+        ids=["list", "null-dim", "no-dim", "float-dim", "bool-dim", "nan", "inf", "ragged", "no-im"],
+    )
+    def test_malformed_matrix_file_is_config_error(self, tmp_path, capsys, content, problem):
+        m = tmp_path / "u.json"
+        m.write_text(content)
+        code = main(["verify", "--matrix", str(m), "--delta", "1.0", "--epsilon", "0.1"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: matrix file {str(m)!r}: ")
+        assert problem in err
 
     def test_missing_matrix_file(self, tmp_path):
         code = main([
@@ -499,6 +544,26 @@ class TestConfigFile:
         code, _ = run_plan(tmp_path, "--config", str(cfg))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "command, doc, key",
+        [
+            ("plan", {"delta": [0.5], "epsilon": 0.1}, "delta"),
+            ("plan", {"delta": 0.5, "epsilon": 0.1, "theta": None}, "theta"),
+            ("plan", {"delta": 0.5, "epsilon": 0.1, "oversample": "many"}, "oversample"),
+            ("sweep", {"deltas": "0.5", "epsilons": "0.1", "dims": 4, "seeds": "0"}, "dims"),
+            ("sweep", {"deltas": "0.5", "epsilons": "0.1", "dims": "4", "seeds": [None]}, "seeds"),
+            ("verify", {"delta": 1.0, "epsilon": 0.1, "dim": {"n": 4}}, "dim"),
+            ("verify", {"delta": 1.0, "epsilon": 0.1, "dim": 4, "out": ["r.json"]}, "out"),
+        ],
+    )
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, command, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: invalid value for {key!r}: ")
+        assert captured.out == ""
+
     def test_missing_config_rejected(self, tmp_path):
         code, _ = run_plan(tmp_path, "--config", str(tmp_path / "none.json"))
         assert code == EXIT_CONFIG
@@ -510,7 +575,7 @@ class TestEntryPoints:
         proc = subprocess.run(
             [sys.executable, "-m", "eigenreflect", "plan", "--delta", PI_HALF,
              "--epsilon", "0.1", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["degree"] == 9
@@ -518,9 +583,6 @@ class TestEntryPoints:
     def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
         # the program runs on numpy alone: importing the cli, and a verify
         # and a sweep run through it, load no scipy module
-        package_root = str(Path(eigenreflect.__file__).resolve().parents[1])
-        pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
         script = (
             "import sys\n"
             "from eigenreflect.cli import main\n"
@@ -535,7 +597,7 @@ class TestEntryPoints:
         proc = subprocess.run(
             [sys.executable, "-c", script,
              str(tmp_path / "report.json"), str(tmp_path / "sweep.csv")],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads((tmp_path / "report.json").read_text())["bound_satisfied"]
@@ -555,12 +617,9 @@ class TestEntryPoints:
         script.write_text(
             f"import sys\nfrom {module} import {func}\nsys.exit({func}())\n"
         )
-        package_root = str(Path(eigenreflect.__file__).resolve().parents[1])
-        pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
         proc = subprocess.run(
             [sys.executable, str(script), "--help"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert "plan" in proc.stdout and "sweep" in proc.stdout

@@ -154,27 +154,41 @@ class TestPartnerDegree:
             (math.pi / 16, 1e-3),
             (math.pi / 32, 1e-2),
             (math.pi / 32, 1e-3),
+            # degrees 770, 1547 and 3101: the kernel's own top coefficient
+            # t^-n is 4.8e-15, 3.7e-17 and 2.9e-19
+            (math.pi / 64, 1e-3),
+            (math.pi / 128, 1e-3),
+            (math.pi / 256, 1e-3),
         ],
     )
     def test_partner_keeps_full_degree_and_angles_rebuild_kernel(self, delta, epsilon):
         plan = select_parameters(GapSpec(delta, epsilon=epsilon))
         ups = build_upsilon(plan.t, plan.n)
+        assert ups.degree == plan.degree
         phi = factorize(gram_polynomial(ups)).phi
         assert phi.degree == plan.degree
-        plus, _ = branch_pair(ups, phi)
-        rebuilt, _ = reconstruct_polynomials(plus)
+        plus, minus = branch_pair(ups, phi)
+        assert plus.degenerate_steps == minus.degenerate_steps == ()
+        rebuilt, partner = reconstruct_polynomials(plus)
         assert rebuilt.degree == ups.degree
         assert np.max(np.abs(rebuilt.as_array() - ups.as_array())) <= 1e-12
+        rebuilt_minus, partner_minus = reconstruct_polynomials(minus)
+        assert np.max(np.abs(rebuilt_minus.as_array() - ups.as_array())) <= 1e-12
+        assert np.max(np.abs(partner_minus.as_array() + partner.as_array())) <= 1e-12
 
     @given(
-        k=st.integers(2, 100),
+        k=st.integers(2, 256),
         epsilon=st.sampled_from([1e-1, 1e-2, 1e-3]),
     )
     @example(k=100, epsilon=1e-3)  # degree 1211
+    @example(k=64, epsilon=1e-3)  # degree 770
+    @example(k=128, epsilon=1e-3)  # degree 1547
+    @example(k=256, epsilon=1e-3)  # degree 3101
     @settings(max_examples=20, deadline=None)
     def test_plan_kernels_complete_at_full_degree(self, k, epsilon):
         plan = select_parameters(GapSpec(math.pi / k, epsilon=epsilon))
         ups = build_upsilon(plan.t, plan.n)
+        assert ups.degree == plan.degree
         phi = factorize(gram_polynomial(ups)).phi
         assert phi.degree == ups.degree
         assert completion_residual(ups, phi, 16 * (2 * ups.degree + 1)) <= 1e-10

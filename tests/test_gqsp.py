@@ -76,8 +76,8 @@ class TestSynthesizeAngles:
     def test_padded_pair_is_flagged_and_still_round_trips(self):
         base = ComplexPolynomial((0.6, 0.3))
         partner = factorize(gram_polynomial(base)).phi
-        # pad the top with a coefficient below the tie-break threshold but
-        # above the trim threshold, so the leading step has no data; the
+        # pad the top with a nonzero coefficient below the tie-break
+        # threshold, so the leading step has no data; the
         # constant-stripping fallback then keeps the remaining content at
         # the bottom, so every later step is flagged as well
         p = ComplexPolynomial((0.6, 0.3, 5e-14))

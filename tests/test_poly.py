@@ -26,17 +26,16 @@ class TestComplexPolynomial:
         assert p.degree == 2
         assert p.as_array().tolist() == [1.0, 2.0, 3.0]
 
-    def test_trailing_near_zeros_are_trimmed(self):
-        p = ComplexPolynomial((1.0, 0.5, 1e-15, 0.0))
-        assert p.degree == 1
+    def test_degree_counts_every_coefficient(self):
+        # nothing is trimmed: small and zero top coefficients keep their place
+        for coeffs in [(1.0, 5e-14), (1.0, 0.5, 1e-15, 0.0), (0.0, 0.0)]:
+            p = ComplexPolynomial(coeffs)
+            assert p.degree == len(coeffs) - 1
+            assert p.as_array().tolist() == [complex(c) for c in coeffs]
 
     def test_zero_polynomial_has_degree_zero(self):
         assert ComplexPolynomial(()).degree == 0
-        assert ComplexPolynomial((0.0, 0.0)).degree == 0
-
-    def test_small_leading_coefficient_above_threshold_survives(self):
-        p = ComplexPolynomial((1.0, 5e-14))
-        assert p.degree == 1
+        assert ComplexPolynomial(()).as_array().tolist() == [0j]
 
     def test_scalar_multiplication_and_negation(self):
         p = ComplexPolynomial((1.0, -2.0))
