@@ -18,6 +18,7 @@ spectrum, 6 sweep rows that failed to run (their result cells are empty).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -26,7 +27,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -126,37 +127,54 @@ class JobConfig:
 # ---------------------------------------------------------------- rendering
 
 
+_quote = json.encoder.encode_basestring_ascii  # json.dumps(s) of a str s, without its overhead
+
+
 def _render_scalar(v: Any) -> str:
-    if isinstance(v, bool):
+    t = type(v)
+    if t is float:
+        # JSON has no literal for nan and inf: they are written as strings
+        return format(v, ".17g") if math.isfinite(v) else _quote(str(v))
+    if t is str:
+        return _quote(v)
+    if t is int:
+        return str(v)
+    # bools, numpy scalars and subclasses; np.bool_ is none of these
+    if t is bool:
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if math.isnan(f) or math.isinf(f):
-            return json.dumps(str(f))  # JSON has no literal for these
-        return format(f, ".17g")
+        return _render_scalar(float(v))
     if isinstance(v, str):
-        return json.dumps(v)
+        return _quote(v)
     raise TypeError(f"cannot render {type(v).__name__} as JSON")
 
 
+def _render_values(values: Any, indent: int) -> list[str]:
+    # finite floats, the bulk of every file, are formatted here without a call
+    return [
+        format(x, ".17g") if type(x) is float and math.isfinite(x) else _render_json(x, indent)
+        for x in values
+    ]
+
+
 def _render_json(v: Any, indent: int = 0) -> str:
-    pad = " " * indent
-    inner = " " * (indent + 2)
     if isinstance(v, dict):
         if not v:
             return "{}"
         rows = [
-            f"{inner}{json.dumps(str(k))}: {_render_json(val, indent + 2)}"
-            for k, val in v.items()
+            f"{_quote(k if type(k) is str else str(k))}: {x}"
+            for k, x in zip(v, _render_values(v.values(), indent + 2))
         ]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+        inner = "\n" + " " * (indent + 2)
+        return "{" + inner + ("," + inner).join(rows) + "\n" + " " * indent + "}"
     if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
-        rows = [f"{inner}{_render_json(x, indent + 2)}" for x in v]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+        inner = "\n" + " " * (indent + 2)
+        rows = _render_values(v, indent + 2)
+        return "[" + inner + ("," + inner).join(rows) + "\n" + " " * indent + "]"
     return _render_scalar(v)
 
 
@@ -187,8 +205,7 @@ def _emit(path: str | None, text: str) -> None:
 
 def load_matrix(path: str) -> np.ndarray:
     """The matrix a file holds; malformed content is a ValueError naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path, "matrix file")
     dim = data.get("dim") if isinstance(data, dict) else None
     if type(dim) is not int:  # bool, a subclass of int, is not a dimension
         raise ValueError(f"matrix file {path!r}: expected a JSON object with an integer 'dim'")
@@ -201,6 +218,15 @@ def load_matrix(path: str) -> np.ndarray:
     if not np.isfinite(parts).all():
         raise ValueError(f"matrix file {path!r}: entries must be finite")
     return parts[0] + 1j * parts[1]
+
+
+def _read_json(path: str, role: str) -> Any:
+    """The JSON document in a file; text that is not JSON is a ValueError naming file and role."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+            raise ValueError(f"{role} {path!r} is not valid JSON: {exc}") from None
 
 
 def save_matrix(path: str, u: np.ndarray) -> None:
@@ -445,6 +471,7 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # parsing keeps no state on the parser, so one serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eigenreflect",
@@ -483,17 +510,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _get(v: dict[str, Any], key: str, kind: type, default: Any = None) -> Any:
+def _get(v: dict[str, Any], key: str, kind: Callable[[Any], Any], default: Any = None) -> Any:
     """v[key] converted by `kind`, default when absent; a bad value is a ValueError naming key."""
     if key not in v:
         return default
     try:
         return kind(v[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # float() of a 400-digit integer overflows
         raise ValueError(f"invalid value for {key!r}: {v[key]!r}") from None
 
 
-def _list_of(kind: type, v: dict[str, Any], key: str) -> tuple[Any, ...]:
+def _integer(x: Any) -> int:
+    """x as an int: ints, integral floats such as 4.0 and digit strings; not bools or 4.9."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
+def _list_of(kind: Callable[[Any], Any], v: dict[str, Any], key: str) -> tuple[Any, ...]:
     """A comma-separated flag string or a config-file JSON list, as `kind`s."""
     value = v.get(key, [])
     if isinstance(value, str):
@@ -507,8 +541,7 @@ def _merge_with_config(args: argparse.Namespace) -> dict[str, Any]:
     """Config-file values fill in; explicit flags win."""
     merged: dict[str, Any] = {}
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        loaded = _read_json(args.config, "config file")
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         merged.update(loaded)
@@ -523,8 +556,10 @@ def _merge_with_config(args: argparse.Namespace) -> dict[str, Any]:
 def _config_from_args(args: argparse.Namespace) -> JobConfig:
     v = _merge_with_config(args)
     command = args.command
-    use_paper = bool(v.get("use_paper_t_formula", False))
-    oversample = _get(v, "oversample", int, DEFAULT_OVERSAMPLE)
+    use_paper = v.get("use_paper_t_formula", False)
+    if type(use_paper) is not bool:  # a string such as "false" must not turn it on
+        raise ValueError(f"invalid value for 'use_paper_t_formula': {use_paper!r}")
+    oversample = _get(v, "oversample", _integer, DEFAULT_OVERSAMPLE)
     completion_tol = _get(v, "completion_tol", float, DEFAULT_COMPLETION_TOL)
     if oversample < MIN_OVERSAMPLE:
         raise ValueError(f"--oversample must be at least {MIN_OVERSAMPLE}, got {oversample}")
@@ -545,11 +580,11 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
     if command == "verify" and v.get("dim") is not None:
         assert gap is not None
         spectrum = SpectrumSpec(
-            dim=_get(v, "dim", int),
+            dim=_get(v, "dim", _integer),
             delta=gap.delta,
             theta=theta,
-            target_multiplicity=_get(v, "multiplicity", int, 1),
-            seed=_get(v, "seed", int, 0),
+            target_multiplicity=_get(v, "multiplicity", _integer, 1),
+            seed=_get(v, "seed", _integer, 0),
         )
 
     return JobConfig(
@@ -567,8 +602,8 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
         completion_tol=completion_tol,
         deltas=_list_of(float, v, "deltas"),
         epsilons=_list_of(float, v, "epsilons"),
-        dims=_list_of(int, v, "dims"),
-        seeds=_list_of(int, v, "seeds"),
+        dims=_list_of(_integer, v, "dims"),
+        seeds=_list_of(_integer, v, "seeds"),
     )
 
 

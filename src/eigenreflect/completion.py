@@ -107,8 +107,7 @@ def gram_polynomial(upsilon: ComplexPolynomial) -> TrigPolynomial:
     g = -auto
     g[d] += 1.0
     trig = TrigPolynomial(tuple(g))
-    m = max(64, 16 * (2 * d + 1))
-    worst = float(trig.values_on_grid(m).min())
+    worst = float(trig.values_on_grid(_grid_size(d)).min())
     if worst < -_NONNEG_TOL:
         raise ValueError(f"modulus exceeds 1 on the circle (defect {worst:.3e})")
     return trig
@@ -170,6 +169,13 @@ def _laurent_values(g: np.ndarray, m: int) -> np.ndarray:
 
 
 def _grid_size(d: int) -> int:
+    """Circle points for the checks and the Weiss step at degree d.
+
+    The smallest power of two, at least 64, not below 16 * (2d + 1).
+    A power of two keeps the FFTs on numpy's fast path; 16 * (2d + 1)
+    itself takes the several times slower chirp-z one whenever 2d + 1
+    has a large prime factor.
+    """
     m = 64
     while m < 16 * (2 * d + 1):
         m *= 2
@@ -177,8 +183,7 @@ def _grid_size(d: int) -> int:
 
 
 def _gram_residual(phi: np.ndarray, gram: TrigPolynomial) -> float:
-    d = gram.order
-    m = max(16 * (2 * d + 1), 2 * len(phi) + 1, 16)
+    m = _grid_size(gram.order)  # phi has at most gram.order + 1 coefficients
     gv = gram.values_on_grid(m)
     pv = m * np.fft.ifft(phi, m)
     return float(np.max(np.abs(np.abs(pv) ** 2 - gv)))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .completion import completion_residual
+from .completion import _grid_size, completion_residual
 from .poly import ComplexPolynomial
 
 __all__ = [
@@ -88,8 +88,7 @@ def synthesize_angles(p: ComplexPolynomial, q: ComplexPolynomial) -> GQSPAngleSe
     the peel-off loses its meaning for non-unitary data.
     """
     d = max(p.degree, q.degree)
-    m = max(16 * (2 * d + 1), 16)
-    res = completion_residual(p, q, m)
+    res = completion_residual(p, q, _grid_size(d))
     if res > RESIDUAL_PRE_TOL:
         raise ValueError(
             f"pair is not complementary on the circle (residual {res:.3e})"

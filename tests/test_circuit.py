@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from eigenreflect import circuit
@@ -197,3 +198,28 @@ class TestSynthesize:
         syn = synthesize(GapSpec(math.pi / 2, epsilon=0.5), use_paper_t_formula=True)
         assert syn.plan.degree == 0
         assert gate_counts(syn.circuit) == GateCounts(0, 0, 2)
+
+
+class TestCheckGrids:
+    @pytest.mark.parametrize(
+        "delta, degree", [(math.pi / 32, 385), (math.pi / 256, 3101)], ids=["385", "3101"]
+    )
+    def test_every_transform_is_a_power_of_two(self, monkeypatch, delta, degree):
+        # completion, poly and gqsp reach the FFT through np.fft alone
+        lengths = []
+
+        def recorded(transform):
+            def spy(a, n=None, *args, **kwargs):
+                out = transform(a, n, *args, **kwargs)
+                lengths.append(out.shape[-1])
+                return out
+
+            return spy
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, recorded(getattr(np.fft, name)))
+        syn = synthesize(GapSpec(delta, epsilon=1e-3))
+        assert syn.plan.degree == degree
+        assert lengths
+        for m in lengths:
+            assert m & (m - 1) == 0 and m >= 16 * (2 * degree + 1), m

@@ -15,6 +15,7 @@ import pytest
 import eigenreflect
 from eigenreflect import circuit
 from eigenreflect.circuit import MAX_DEGREE
+from eigenreflect import cli
 from eigenreflect.cli import (
     EXIT_BOUND_VIOLATED,
     EXIT_COMPLETION,
@@ -29,7 +30,9 @@ from eigenreflect.cli import (
     main,
     save_matrix,
 )
+from eigenreflect.oracle import verify_reflection
 from eigenreflect.poly import GapSpec, select_parameters
+from eigenreflect.testgen import SpectrumSpec, random_gapped_unitary
 
 PI_HALF = repr(math.pi / 2)
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -46,6 +49,46 @@ def run_plan(tmp_path, *extra):
     out = tmp_path / "plan.json"
     code = main(["plan", "--out", str(out), *extra])
     return code, (json.loads(out.read_text()) if out.exists() else None)
+
+
+def reference_render_scalar(v):
+    """A plain isinstance renderer: the byte reference for cli._render_scalar."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        f = float(v)
+        if math.isnan(f) or math.isinf(f):
+            return json.dumps(str(f))
+        return format(f, ".17g")
+    if isinstance(v, str):
+        return json.dumps(v)
+    raise TypeError(f"cannot render {type(v).__name__} as JSON")
+
+
+def reference_render_json(v, indent=0):
+    """The byte reference for cli._render_json: one json.dumps per key, one call per value."""
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        rows = [
+            f"{inner}{json.dumps(str(k))}: {reference_render_json(val, indent + 2)}"
+            for k, val in v.items()
+        ]
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        rows = [f"{inner}{reference_render_json(x, indent + 2)}" for x in v]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    return reference_render_scalar(v)
+
+
+# the (delta, epsilon) ladder of the synth benchmark: degrees 35 to 385
+SYNTH_LADDER = [(math.pi / k, eps) for k in (4, 8, 16, 32) for eps in (1e-2, 1e-3)]
 
 
 class TestRendering:
@@ -66,6 +109,51 @@ class TestRendering:
     def test_nested_structure_is_valid_json(self):
         doc = {"a": [1, 2.5, {"b": []}], "c": {}, "d": "s"}
         assert json.loads(_render_json(doc)) == doc
+
+    @pytest.mark.parametrize("delta, epsilon", SYNTH_LADDER)
+    def test_synth_payloads_match_reference(self, delta, epsilon):
+        syn = circuit.synthesize(GapSpec(delta, theta=0.5, epsilon=epsilon))
+        for payload in (cli._circuit_payload(syn.circuit), cli._angles_payload(syn)):
+            assert _render_json(payload) == reference_render_json(payload)
+
+    def test_report_payloads_match_reference(self):
+        gap = GapSpec(1.0, theta=0.3, epsilon=0.1)
+        syn = circuit.synthesize(gap, use_paper_t_formula=True)
+        u = random_gapped_unitary(SpectrumSpec(dim=6, delta=1.0, theta=0.3, seed=2))
+        report = cli._report_payload(verify_reflection(u, syn), "paper")
+        comparison = {
+            "corrected": cli._kernel_summary(gap, False, 32),
+            "paper": cli._kernel_summary(gap, True, 32),
+        }
+        for payload in (report, {**report, "t_formula_comparison": comparison}):
+            assert _render_json(payload) == reference_render_json(payload)
+
+    def test_edge_payload_matches_reference(self):
+        payload = {
+            "empty_dict": {},
+            "empty_list": [],
+            "empty_tuple": (),
+            "nested": [[], [{}], {"a": [1, [2.5, {"b": (True, False)}]]}],
+            "specials": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308],
+            "numpy": [np.float64(0.1), np.float64(np.nan), np.float32(1.5), np.int64(-7)],
+            "numpy_values": {"f": np.float64(-np.inf), "i": np.int64(2**62), "g": np.float64(3.0)},
+            "escapes": 'quote " backslash \\ newline \n tab \t nul \x00 e\u0301 \u2028 \U0001f600',
+            7: "int key",
+            2.5: "float key",
+        }
+        assert _render_json(payload) == reference_render_json(payload)
+        for indent in (0, 2, 6):
+            assert _render_json(payload, indent) == reference_render_json(payload, indent)
+
+    @pytest.mark.parametrize(
+        "bad", [None, np.bool_(True), object()], ids=["None", "np.bool_", "object"]
+    )
+    def test_unrenderable_values_raise(self, bad):
+        for doc in (bad, [1.0, bad], {"k": bad}, {"k": [bad]}):
+            with pytest.raises(TypeError):
+                reference_render_json(doc)
+            with pytest.raises(TypeError):
+                _render_json(doc)
 
 
 class TestMatrixIO:
@@ -401,6 +489,15 @@ class TestVerify:
         assert err.startswith(f"error: matrix file {str(m)!r}: ")
         assert problem in err
 
+    @pytest.mark.parametrize("content", [b"x", b'{"dim": 1,', b"\xff\xfe"])
+    def test_matrix_file_that_is_not_json(self, tmp_path, capsys, content):
+        m = tmp_path / "bad.json"
+        m.write_bytes(content)
+        code = main(["verify", "--matrix", str(m), "--delta", "1.0", "--epsilon", "0.1"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: matrix file {str(m)!r} is not valid JSON: ")
+
     def test_missing_matrix_file(self, tmp_path):
         code = main([
             "verify", "--matrix", str(tmp_path / "absent.json"),
@@ -554,6 +651,22 @@ class TestConfigFile:
             ("sweep", {"deltas": "0.5", "epsilons": "0.1", "dims": "4", "seeds": [None]}, "seeds"),
             ("verify", {"delta": 1.0, "epsilon": 0.1, "dim": {"n": 4}}, "dim"),
             ("verify", {"delta": 1.0, "epsilon": 0.1, "dim": 4, "out": ["r.json"]}, "out"),
+            ("verify", {"delta": 1.0, "epsilon": 0.1, "dim": 4.9}, "dim"),
+            ("verify", {"delta": 1.0, "epsilon": 0.1, "dim": 4, "seed": 1.7}, "seed"),
+            ("verify", {"delta": 1.0, "epsilon": 0.1, "dim": 4, "multiplicity": 1.5},
+             "multiplicity"),
+            ("verify", {"delta": 1.0, "epsilon": 0.1, "dim": True}, "dim"),
+            ("verify", {"delta": 1.0, "epsilon": 0.1, "dim": math.inf}, "dim"),
+            ("plan", {"delta": 1.0, "epsilon": 0.1, "oversample": 32.5}, "oversample"),
+            ("plan", {"delta": 1.0, "epsilon": 0.1, "oversample": False}, "oversample"),
+            ("sweep", {"deltas": [1.0], "epsilons": [0.1], "dims": [4.9], "seeds": [0]}, "dims"),
+            ("sweep", {"deltas": [1.0], "epsilons": [0.1], "dims": [4], "seeds": [True]}, "seeds"),
+            ("plan", {"delta": 10**400, "epsilon": 0.1}, "delta"),
+        ]
+        + [
+            ("plan", {"delta": 1.0, "epsilon": 0.1, "use_paper_t_formula": value},
+             "use_paper_t_formula")
+            for value in ("false", "true", 0, 1, None, [True])
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, command, doc, key):
@@ -567,6 +680,50 @@ class TestConfigFile:
     def test_missing_config_rejected(self, tmp_path):
         code, _ = run_plan(tmp_path, "--config", str(tmp_path / "none.json"))
         assert code == EXIT_CONFIG
+
+    def test_config_file_that_is_not_json(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("x")
+        code, _ = run_plan(tmp_path, "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: config file {str(cfg)!r} is not valid JSON: "
+            "Expecting value: line 1 column 1 (char 0)\n"
+        )
+
+    @pytest.mark.parametrize("value, formula", [(True, "paper"), (False, "corrected")])
+    def test_boolean_formula_switch(self, tmp_path, value, formula):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 1.0, "epsilon": 0.1, "use_paper_t_formula": value}))
+        code, doc = run_plan(tmp_path, "--config", str(cfg))
+        assert code == EXIT_OK
+        assert doc["t_formula"] == formula
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 1.0, "epsilon": 0.1, "dim": 4.0, "seed": 1.0}))
+        from_config, from_flags = tmp_path / "config.json", tmp_path / "flags.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(from_config)]) == EXIT_OK
+        flags = ["--delta", "1.0", "--epsilon", "0.1", "--dim", "4", "--seed", "1"]
+        assert main(["verify", *flags, "--out", str(from_flags)]) == EXIT_OK
+        assert from_config.read_bytes() == from_flags.read_bytes()
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--delta", "1.0", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert "--no-such-flag" in capsys.readouterr().err
+        c, a = tmp_path / "c.json", tmp_path / "a.json"
+        assert main(["synth", "--delta", PI_HALF, "--epsilon", "0.1",
+                     "--circuit-out", str(c), "--angles-out", str(a)]) == EXIT_OK
+        code, doc = run_plan(tmp_path, "--delta", PI_HALF, "--epsilon", "0.5")
+        assert code == EXIT_OK
+        assert (doc["t"], doc["n"], doc["t_formula"]) == (4, 1, "corrected")
+        assert json.loads(c.read_text())["degree"] == 9
+        assert not (tmp_path / "circuit.json").exists()
 
 
 class TestEntryPoints:
