@@ -10,9 +10,10 @@ BLAS thread count (the thread count can change the rounding of matrix
 products, hence the last digits of the reported floats).
 
 Exit codes: 0 success (verify: bound met), 1 verify ran but the bound
-was violated (sweep: on some row), 2 configuration or input error,
-3 completion failure, 4 gap violation, 5 target phase absent from the
-spectrum, 6 sweep rows that failed to run (their result cells are empty).
+was violated (sweep: on some row), 2 configuration or input error (such
+as a --dim or --dims entry above MAX_DIM = 1024), 3 completion failure,
+4 gap violation, 5 target phase absent from the spectrum, 6 sweep rows
+that failed to run (their result cells are empty).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -81,6 +82,8 @@ EXIT_TARGET_ABSENT = 5
 EXIT_SWEEP_ROWS_FAILED = 6
 
 DEFAULT_COMPLETION_TOL = 1e-10
+# cap on a generated dimension: verify holds several (2 dim)^2 matrices, 67 MB each
+MAX_DIM = 1024
 
 _SWEEP_COLUMNS = (
     "delta",
@@ -96,32 +99,6 @@ _SWEEP_COLUMNS = (
     "completion_residual",
     "wall_time_ms",
 )
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    """Everything a subcommand needs, after flag/config-file merging."""
-
-    command: str
-    gap: GapSpec | None = None
-    matrix_path: str | None = None
-    spectrum: SpectrumSpec | None = None
-    out: str | None = None
-    circuit_out: str | None = None
-    angles_out: str | None = None
-    csv_out: str | None = None
-    theta: float = 0.0  # sweep rows' target phase; the other commands read gap
-    use_paper_t_formula: bool = False
-    oversample: int = DEFAULT_OVERSAMPLE
-    completion_tol: float = DEFAULT_COMPLETION_TOL
-    deltas: tuple[float, ...] = ()
-    epsilons: tuple[float, ...] = ()
-    dims: tuple[int, ...] = ()
-    seeds: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.matrix_path is not None and self.spectrum is not None:
-            raise ValueError("give either --matrix or --dim, not both")
 
 
 # ---------------------------------------------------------------- rendering
@@ -339,7 +316,6 @@ def _formula_name(use_paper: bool) -> str:
 
 
 def cmd_plan(cfg: JobConfig) -> int:
-    assert cfg.gap is not None
     plan = select_parameters(cfg.gap, use_paper_t_formula=cfg.use_paper_t_formula)
     payload = _plan_payload(plan, _formula_name(cfg.use_paper_t_formula))
     _emit(cfg.out, _render_json(payload) + "\n")
@@ -347,7 +323,6 @@ def cmd_plan(cfg: JobConfig) -> int:
 
 
 def cmd_synth(cfg: JobConfig) -> int:
-    assert cfg.gap is not None
     syn = synthesize(
         cfg.gap, use_paper_t_formula=cfg.use_paper_t_formula, completion_tol=cfg.completion_tol
     )
@@ -357,15 +332,14 @@ def cmd_synth(cfg: JobConfig) -> int:
 
 
 def cmd_verify(cfg: JobConfig) -> int:
-    assert cfg.gap is not None
-    if cfg.matrix_path is not None:
-        u = load_matrix(cfg.matrix_path)
-    elif cfg.spectrum is not None:
-        u = random_gapped_unitary(cfg.spectrum)
+    gap = cfg.gap
+    if cfg.matrix is not None:
+        u = load_matrix(cfg.matrix)
     else:
-        raise ValueError("verify needs a --matrix file or --dim/--seed parameters")
+        spec = SpectrumSpec(cfg.dim, gap.delta, gap.theta, cfg.multiplicity, cfg.seed)
+        u = random_gapped_unitary(spec)
     syn = synthesize(
-        cfg.gap, use_paper_t_formula=cfg.use_paper_t_formula, completion_tol=cfg.completion_tol
+        gap, use_paper_t_formula=cfg.use_paper_t_formula, completion_tol=cfg.completion_tol
     )
     report = verify_reflection(u, syn)
     payload = _report_payload(report, _formula_name(cfg.use_paper_t_formula))
@@ -373,8 +347,8 @@ def cmd_verify(cfg: JobConfig) -> int:
         # discrepancy experiment: record the kernel quality under both
         # parameter choices side by side
         payload["t_formula_comparison"] = {
-            "corrected": _kernel_summary(cfg.gap, False, cfg.oversample),
-            "paper": _kernel_summary(cfg.gap, True, cfg.oversample),
+            "corrected": _kernel_summary(gap, False, cfg.oversample),
+            "paper": _kernel_summary(gap, True, cfg.oversample),
         }
     _emit(cfg.out, _render_json(payload) + "\n")
     return EXIT_OK if report.bound_satisfied else EXIT_BOUND_VIOLATED
@@ -451,24 +425,106 @@ def _sweep_row(
 # ---------------------------------------------------------------- arguments
 
 
-def _add_shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file supplying defaults for any flag")
-    p.add_argument("--delta", type=float, default=None, help="gap half-width, radians")
-    p.add_argument("--epsilon", type=float, default=None, help="error budget in (0,1)")
-    p.add_argument("--theta", type=float, default=None, help="target phase (default 0)")
-    p.add_argument(
-        "--use-paper-t-formula",
-        action="store_true",
-        default=None,
-        help="use the literal published averaging length instead of the corrected one",
+def _real(x: Any) -> float:
+    """x as a float: numbers and numeric strings; not bools, which float() reads as 0 or 1."""
+    if isinstance(x, bool):
+        raise ValueError(f"{x!r} is not a real number")
+    return float(x)
+
+
+def _integer(x: Any) -> int:
+    """x as an int: ints, integral floats such as 4.0 and digit strings; not bools or 4.9."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
+def _switch(x: Any) -> bool:
+    """A flag given, or a JSON boolean: a string such as "false" must not turn a switch on."""
+    if type(x) is not bool:
+        raise ValueError(f"{x!r} is not a boolean")
+    return x
+
+
+def _list_of(kind: Callable[[Any], Any], x: Any) -> tuple[Any, ...]:
+    """A comma-separated flag string or a config-file JSON list, as `kind`s."""
+    if isinstance(x, str):
+        x = [s.strip() for s in x.split(",") if s.strip()]
+    if not isinstance(x, list):
+        raise ValueError(f"{x!r} is neither a list nor a string")
+    return tuple(kind(e) for e in x)
+
+
+_reals, _integers = functools.partial(_list_of, _real), functools.partial(_list_of, _integer)
+
+
+def _option(
+    commands: str,
+    convert: Callable[[Any], Any],
+    help: str,
+    default: Any = None,
+    check: tuple[str, Callable[[Any], bool]] | None = None,
+) -> Any:
+    """A row of the option table: `check` is a requirement phrase and the predicate it names."""
+    meta = {"commands": commands.split(), "convert": convert, "help": help, "check": check}
+    return field(default=default, metadata=meta)
+
+
+_ALL = "plan synth verify sweep"
+_DIM_CAP = (f"at most {MAX_DIM}", lambda d: d <= MAX_DIM)
+
+
+@dataclass(frozen=True)
+class JobConfig:
+    """Everything a subcommand needs, after flag/config-file merging.
+
+    The fields' metadata is the option table, where each option is declared
+    once: the field after `command` named x is the flag `--x-with-dashes` of
+    the subcommands its row names, and a flag string or config-file value
+    reaches it through the row's converter, then the row's check.
+    """
+
+    command: str
+    delta: float | None = _option(_ALL, _real, "gap half-width, radians")
+    epsilon: float | None = _option(_ALL, _real, "error budget in (0,1)")
+    theta: float = _option(_ALL, _real, "target phase (default 0)", 0.0, ("finite", math.isfinite))
+    use_paper_t_formula: bool = _option(
+        _ALL, _switch, "use the literal published averaging length instead of the corrected one",
+        False,
     )
-    p.add_argument("--oversample", type=int, default=None, help="grid oversampling factor")
-    p.add_argument(
-        "--completion-tol",
-        type=float,
-        default=None,
-        help="max allowed completion residual (default 1e-10)",
+    oversample: int = _option(
+        _ALL, _integer, "grid oversampling factor", DEFAULT_OVERSAMPLE,
+        (f"at least {MIN_OVERSAMPLE}", lambda k: k >= MIN_OVERSAMPLE),
     )
+    completion_tol: float = _option(
+        _ALL, _real, "max allowed completion residual (default 1e-10)", DEFAULT_COMPLETION_TOL,
+        ("finite and > 0", lambda x: math.isfinite(x) and x > 0),
+    )
+    out: str | None = _option("plan verify", os.fspath, "output JSON path ('-' for stdout)")
+    circuit_out: str | None = _option("synth", os.fspath, "circuit JSON path")
+    angles_out: str | None = _option("synth", os.fspath, "angle JSON path")
+    matrix: str | None = _option("verify", os.fspath, "matrix JSON file to verify against")
+    dim: int | None = _option("verify", _integer, "generated instance dimension", None, _DIM_CAP)
+    multiplicity: int = _option("verify", _integer, "target multiplicity (default 1)", 1)
+    seed: int = _option("verify", _integer, "generator seed (default 0)", 0)
+    deltas: tuple[float, ...] = _option("sweep", _reals, "comma-separated gap half-widths", ())
+    epsilons: tuple[float, ...] = _option("sweep", _reals, "comma-separated error budgets", ())
+    dims: tuple[int, ...] = _option("sweep", _integers, "comma-separated dimensions", (), _DIM_CAP)
+    seeds: tuple[int, ...] = _option("sweep", _integers, "comma-separated seeds", ())
+    csv_out: str | None = _option("sweep", os.fspath, "CSV path ('-' for stdout)")
+
+    def __post_init__(self) -> None:
+        if self.command != "sweep" and (self.delta is None or self.epsilon is None):
+            raise ValueError("--delta and --epsilon are required")
+        if self.command == "verify" and (self.matrix is None) == (self.dim is None):
+            raise ValueError("verify needs exactly one of --matrix and --dim")
+
+    @property
+    def gap(self) -> GapSpec:
+        return GapSpec(delta=self.delta, epsilon=self.epsilon, theta=self.theta)
+
+
+_OPTIONS = tuple(("--" + f.name.replace("_", "-"), f) for f in fields(JobConfig) if f.metadata)
 
 
 @functools.cache  # parsing keeps no state on the parser, so one serves every main call
@@ -479,148 +535,52 @@ def _build_parser() -> argparse.ArgumentParser:
         "reflection circuits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("plan", help="select averaging parameters and predict counts")
-    _add_shared_flags(p)
-    p.add_argument("--out", default=None, help="plan JSON path ('-' for stdout)")
-
-    p = sub.add_parser("synth", help="synthesize the reflection circuit and angles")
-    _add_shared_flags(p)
-    p.add_argument("--circuit-out", default=None, help="circuit JSON path")
-    p.add_argument("--angles-out", default=None, help="angle JSON path")
-
-    p = sub.add_parser("verify", help="run the full pipeline against a unitary")
-    _add_shared_flags(p)
-    p.add_argument("--matrix", default=None, help="matrix JSON file to verify against")
-    p.add_argument("--dim", type=int, default=None, help="generated instance dimension")
-    p.add_argument(
-        "--multiplicity", type=int, default=None, help="target multiplicity (default 1)"
-    )
-    p.add_argument("--seed", type=int, default=None, help="generator seed (default 0)")
-    p.add_argument("--out", default=None, help="report JSON path ('-' for stdout)")
-
-    p = sub.add_parser("sweep", help="grid of verify runs, one CSV row each")
-    _add_shared_flags(p)
-    p.add_argument("--deltas", default=None, help="comma-separated gap half-widths")
-    p.add_argument("--epsilons", default=None, help="comma-separated error budgets")
-    p.add_argument("--dims", default=None, help="comma-separated dimensions")
-    p.add_argument("--seeds", default=None, help="comma-separated seeds")
-    p.add_argument("--csv-out", default=None, help="CSV path ('-' for stdout)")
-
+    for command, (_, help_text) in _COMMANDS.items():
+        # a flag left out is absent from the namespace, so config-file values fill in
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="JSON file supplying defaults for any flag")
+        for flag, f in _OPTIONS:
+            if command in f.metadata["commands"]:
+                action = "store_true" if f.metadata["convert"] is _switch else "store"
+                p.add_argument(flag, action=action, help=f.metadata["help"])
     return parser
 
 
-def _get(v: dict[str, Any], key: str, kind: Callable[[Any], Any], default: Any = None) -> Any:
-    """v[key] converted by `kind`, default when absent; a bad value is a ValueError naming key."""
-    if key not in v:
-        return default
-    try:
-        return kind(v[key])
-    except (TypeError, ValueError, OverflowError):  # float() of a 400-digit integer overflows
-        raise ValueError(f"invalid value for {key!r}: {v[key]!r}") from None
-
-
-def _integer(x: Any) -> int:
-    """x as an int: ints, integral floats such as 4.0 and digit strings; not bools or 4.9."""
-    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
-        raise ValueError(f"{x!r} is not an integer")
-    return int(x)
-
-
-def _list_of(kind: Callable[[Any], Any], v: dict[str, Any], key: str) -> tuple[Any, ...]:
-    """A comma-separated flag string or a config-file JSON list, as `kind`s."""
-    value = v.get(key, [])
-    if isinstance(value, str):
-        value = [s.strip() for s in value.split(",") if s.strip()]
-    if not isinstance(value, list):
-        raise ValueError(f"invalid value for {key!r}: {value!r} (want a list or a string)")
-    return tuple(_get({key: x}, key, kind) for x in value)
-
-
-def _merge_with_config(args: argparse.Namespace) -> dict[str, Any]:
-    """Config-file values fill in; explicit flags win."""
-    merged: dict[str, Any] = {}
-    if getattr(args, "config", None):
-        loaded = _read_json(args.config, "config file")
-        if not isinstance(loaded, dict):
-            raise ValueError("config file must hold a JSON object")
-        merged.update(loaded)
-    for key, value in vars(args).items():
-        if key in ("config", "command"):
-            continue
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
 def _config_from_args(args: argparse.Namespace) -> JobConfig:
-    v = _merge_with_config(args)
-    command = args.command
-    use_paper = v.get("use_paper_t_formula", False)
-    if type(use_paper) is not bool:  # a string such as "false" must not turn it on
-        raise ValueError(f"invalid value for 'use_paper_t_formula': {use_paper!r}")
-    oversample = _get(v, "oversample", _integer, DEFAULT_OVERSAMPLE)
-    completion_tol = _get(v, "completion_tol", float, DEFAULT_COMPLETION_TOL)
-    if oversample < MIN_OVERSAMPLE:
-        raise ValueError(f"--oversample must be at least {MIN_OVERSAMPLE}, got {oversample}")
-    if not (math.isfinite(completion_tol) and completion_tol > 0):
-        raise ValueError(f"--completion-tol must be finite and > 0, got {completion_tol!r}")
-    theta = _get(v, "theta", float, 0.0)
-    if not math.isfinite(theta):
-        raise ValueError(f"--theta must be finite, got {theta!r}")
-
-    gap: GapSpec | None = None
-    if command in ("plan", "synth", "verify"):
-        if v.get("delta") is None or v.get("epsilon") is None:
-            raise ValueError("--delta and --epsilon are required")
-        delta, epsilon = _get(v, "delta", float), _get(v, "epsilon", float)
-        gap = GapSpec(delta=delta, epsilon=epsilon, theta=theta)
-
-    spectrum: SpectrumSpec | None = None
-    if command == "verify" and v.get("dim") is not None:
-        assert gap is not None
-        spectrum = SpectrumSpec(
-            dim=_get(v, "dim", _integer),
-            delta=gap.delta,
-            theta=theta,
-            target_multiplicity=_get(v, "multiplicity", _integer, 1),
-            seed=_get(v, "seed", _integer, 0),
-        )
-
-    return JobConfig(
-        command=command,
-        gap=gap,
-        matrix_path=_get(v, "matrix", os.fspath),
-        spectrum=spectrum,
-        out=_get(v, "out", os.fspath),
-        circuit_out=_get(v, "circuit_out", os.fspath),
-        angles_out=_get(v, "angles_out", os.fspath),
-        csv_out=_get(v, "csv_out", os.fspath),
-        theta=theta,
-        use_paper_t_formula=use_paper,
-        oversample=oversample,
-        completion_tol=completion_tol,
-        deltas=_list_of(float, v, "deltas"),
-        epsilons=_list_of(float, v, "epsilons"),
-        dims=_list_of(_integer, v, "dims"),
-        seeds=_list_of(_integer, v, "seeds"),
-    )
+    """Config-file values fill in, explicit flags win; each value is converted and checked."""
+    merged = _read_json(args.config, "config file") if "config" in args else {}
+    if not isinstance(merged, dict):
+        raise ValueError("config file must hold a JSON object")
+    merged.update(vars(args))
+    values: dict[str, Any] = {}
+    for flag, f in _OPTIONS:
+        if f.name not in merged:
+            continue
+        try:
+            value = f.metadata["convert"](merged[f.name])
+        except (TypeError, ValueError, OverflowError):  # float() of a 400-digit integer overflows
+            raise ValueError(f"invalid value for {f.name!r}: {merged[f.name]!r}") from None
+        if f.metadata["check"] is not None:
+            requirement, holds = f.metadata["check"]
+            for x in value if isinstance(value, tuple) else (value,):
+                if not holds(x):
+                    raise ValueError(f"{flag} must be {requirement}, got {x!r}")
+        values[f.name] = value
+    return JobConfig(command=args.command, **values)
 
 
-_HANDLERS = {
-    "plan": cmd_plan,
-    "synth": cmd_synth,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
+_COMMANDS = {
+    "plan": (cmd_plan, "select averaging parameters and predict counts"),
+    "synth": (cmd_synth, "synthesize the reflection circuit and angles"),
+    "verify": (cmd_verify, "run the full pipeline against a unitary"),
+    "sweep": (cmd_sweep, "grid of verify runs, one CSV row each"),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[cfg.command](cfg)
+        return _COMMANDS[args.command][0](_config_from_args(args))
     except CompletionError as exc:
         print(f"error: completion failed: {exc}", file=sys.stderr)
         return EXIT_COMPLETION

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
+import argparse
 import csv
 import json
 import math
@@ -452,6 +453,32 @@ class TestVerify:
         err = capsys.readouterr().err
         assert f"error: plan degree 27182815 exceeds the cap of {MAX_DEGREE}" in err
 
+    def test_dim_above_cap_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main([
+            "verify", "--delta", "1", "--epsilon", "0.1", "--dim", "100000000000",
+            "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: --dim must be at most {cli.MAX_DIM}, got 100000000000\n"
+
+    def test_dim_above_cap_in_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 1.0, "epsilon": 0.1, "dim": 100000000000}))
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: --dim must be at most {cli.MAX_DIM}, got 100000000000\n"
+
+    def test_dim_at_cap_is_accepted(self):
+        args = cli._build_parser().parse_args([
+            "verify", "--delta", "1", "--epsilon", "0.1", "--dim", str(cli.MAX_DIM),
+        ])
+        assert cli._config_from_args(args).dim == cli.MAX_DIM
+
     def test_matrix_and_dim_conflict(self, tmp_path):
         m = tmp_path / "u.json"
         save_matrix(str(m), np.eye(2, dtype=complex))
@@ -575,6 +602,17 @@ class TestSweep:
         assert f"plan degree 16309689 exceeds the cap of {MAX_DEGREE}" in err
         assert "1 row(s) failed to run" in err
 
+    def test_dims_above_cap_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main([
+            "sweep", "--deltas", "1.0", "--epsilons", "0.1", "--dims", "4,100000000000",
+            "--seeds", "0", "--csv-out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: --dims must be at most {cli.MAX_DIM}, got 100000000000\n"
+
     def test_bound_violation_exit_code(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main([
@@ -667,6 +705,26 @@ class TestConfigFile:
             ("plan", {"delta": 1.0, "epsilon": 0.1, "use_paper_t_formula": value},
              "use_paper_t_formula")
             for value in ("false", "true", 0, 1, None, [True])
+        ]
+        + [
+            ("plan", {"delta": True, "epsilon": 0.1}, "delta"),
+            ("plan", {"delta": 1.0, "epsilon": True}, "epsilon"),
+            ("plan", {"delta": 1.0, "epsilon": "small"}, "epsilon"),
+            ("plan", {"delta": 1.0, "epsilon": 0.1, "theta": False}, "theta"),
+            ("synth", {"delta": 1.0, "epsilon": 0.1, "completion_tol": True}, "completion_tol"),
+            ("synth", {"delta": 1.0, "epsilon": 0.1, "completion_tol": [1e-10]},
+             "completion_tol"),
+            ("verify", {"delta": 1.0, "epsilon": 0.1, "matrix": ["u.json"]}, "matrix"),
+            ("synth", {"delta": 1.0, "epsilon": 0.1, "circuit_out": ["c.json"]}, "circuit_out"),
+            ("synth", {"delta": 1.0, "epsilon": 0.1, "angles_out": 7}, "angles_out"),
+            ("sweep", {"deltas": [1.0], "epsilons": [0.1], "dims": [4], "seeds": [0],
+                       "csv_out": {"path": "s.csv"}}, "csv_out"),
+            ("sweep", {"deltas": [True], "epsilons": [0.1], "dims": [4], "seeds": [0]}, "deltas"),
+            ("sweep", {"deltas": 0.5, "epsilons": [0.1], "dims": [4], "seeds": [0]}, "deltas"),
+            ("sweep", {"deltas": [1.0], "epsilons": [True], "dims": [4], "seeds": [0]},
+             "epsilons"),
+            ("sweep", {"deltas": [1.0], "epsilons": "0.1,x", "dims": [4], "seeds": [0]},
+             "epsilons"),
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, command, doc, key):
@@ -724,6 +782,30 @@ class TestParser:
         assert (doc["t"], doc["n"], doc["t_formula"]) == (4, 1, "corrected")
         assert json.loads(c.read_text())["degree"] == 9
         assert not (tmp_path / "circuit.json").exists()
+
+
+    def test_flag_set_of_each_subcommand(self):
+        (subcommands,) = [
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        shared = {
+            "--config", "--delta", "--epsilon", "--theta", "--use-paper-t-formula",
+            "--oversample", "--completion-tol",
+        }
+        flags = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in subcommands.choices.items()
+        }
+        assert flags == {
+            "plan": shared | {"--out"},
+            "synth": shared | {"--circuit-out", "--angles-out"},
+            "verify": shared | {"--matrix", "--dim", "--multiplicity", "--seed", "--out"},
+            "sweep": shared | {"--deltas", "--epsilons", "--dims", "--seeds", "--csv-out"},
+        }
+
+    def test_malformed_flag_is_config_error(self, capsys):
+        assert main(["plan", "--delta", "abc", "--epsilon", "0.1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: invalid value for 'delta': 'abc'\n"
 
 
 class TestEntryPoints:
