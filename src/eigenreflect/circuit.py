@@ -167,9 +167,9 @@ def predicted_counts(plan: ReflectionPlan) -> GateCounts:
 class Synthesis:
     """One plan carried through the pipeline: kernel, completion, angles, circuit.
 
-    The circuit is the plus branch walk followed by the adjoint of the
-    minus branch walk, so its first 2 * degree + 1 gates are the plus
-    branch.
+    The plus branch is peeled once and the minus branch is its Z-mirror
+    (every theta negated); the circuit is the plus walk, then the adjoint
+    of the minus walk, so its first 2 * degree + 1 gates are the plus branch.
     """
 
     plan: ReflectionPlan
@@ -192,7 +192,7 @@ class Synthesis:
 def synthesize(
     gap: GapSpec, *, use_paper_t_formula: bool = False, completion_tol: float = 1e-10
 ) -> Synthesis:
-    """Plan (t, n), build the kernel, complete it, synthesize both branches, compose.
+    """Plan (t, n), build the kernel, complete it, peel the plus branch, mirror it, compose.
 
     Raises ValueError, before anything is built, when the plan's degree
     (t - 1) n exceeds MAX_DEGREE, and CompletionError when the

@@ -472,6 +472,7 @@ def _option(
 
 _ALL = "plan synth verify sweep"
 _DIM_CAP = (f"at most {MAX_DIM}", lambda d: d <= MAX_DIM)
+_SEED_FLOOR = ("at least 0", lambda s: s >= 0)  # numpy's generators take no negative seed
 
 
 @dataclass(frozen=True)
@@ -506,11 +507,11 @@ class JobConfig:
     matrix: str | None = _option("verify", os.fspath, "matrix JSON file to verify against")
     dim: int | None = _option("verify", _integer, "generated instance dimension", None, _DIM_CAP)
     multiplicity: int = _option("verify", _integer, "target multiplicity (default 1)", 1)
-    seed: int = _option("verify", _integer, "generator seed (default 0)", 0)
+    seed: int = _option("verify", _integer, "generator seed (default 0)", 0, _SEED_FLOOR)
     deltas: tuple[float, ...] = _option("sweep", _reals, "comma-separated gap half-widths", ())
     epsilons: tuple[float, ...] = _option("sweep", _reals, "comma-separated error budgets", ())
     dims: tuple[int, ...] = _option("sweep", _integers, "comma-separated dimensions", (), _DIM_CAP)
-    seeds: tuple[int, ...] = _option("sweep", _integers, "comma-separated seeds", ())
+    seeds: tuple[int, ...] = _option("sweep", _integers, "comma-separated seeds", (), _SEED_FLOOR)
     csv_out: str | None = _option("sweep", os.fspath, "CSV path ('-' for stdout)")
 
     def __post_init__(self) -> None:
@@ -525,6 +526,7 @@ class JobConfig:
 
 
 _OPTIONS = tuple(("--" + f.name.replace("_", "-"), f) for f in fields(JobConfig) if f.metadata)
+_KEYS = {f.name for _, f in _OPTIONS}  # a config file may name any row, whatever the subcommand
 
 
 @functools.cache  # parsing keeps no state on the parser, so one serves every main call
@@ -551,6 +553,9 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
     merged = _read_json(args.config, "config file") if "config" in args else {}
     if not isinstance(merged, dict):
         raise ValueError("config file must hold a JSON object")
+    for key in merged:  # in file order, so the key named is the same on every run
+        if key not in _KEYS:
+            raise ValueError(f"config file {args.config!r} has unknown key {key!r}")
     merged.update(vars(args))
     values: dict[str, Any] = {}
     for flag, f in _OPTIONS:

@@ -19,6 +19,10 @@ tie-break tolerance (a pair padded above its true degree) is the step
 recovered from the trailing coefficients instead, chosen so the
 shifted-out constant vanishes; such steps are listed on the result and
 announced with a RuntimeWarning.
+
+One peel serves both branches of the reflection: Z . R(theta, phi, lam) . Z
+= R(-theta, phi, lam) for Z = diag(1, -1), and Z commutes with diag(1, x),
+so negating every theta turns the first column into (p, -q), bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -160,6 +164,9 @@ def branch_pair(
     Both branches place the averaging kernel in the upper-left block;
     they differ only in the sign of the partner polynomial, which is
     what turns the composite's lower block into a subtraction and the
-    upper block into 2|kernel|^2 - 1 on the circle.
+    upper block into 2|kernel|^2 - 1 on the circle.  One peel gives the
+    plus branch; Z . R(theta, phi, lam) . Z = R(-theta, phi, lam), and
+    Z commutes with the shift, so its thetas negated give the minus one.
     """
-    return synthesize_angles(upsilon, phi), synthesize_angles(upsilon, -phi)
+    plus = synthesize_angles(upsilon, phi)
+    return plus, replace(plus, thetas=tuple(-t for t in plus.thetas))

@@ -54,14 +54,6 @@ class ComplexPolynomial:
     def as_array(self) -> np.ndarray:
         return np.array(self.coeffs, dtype=complex)
 
-    def __mul__(self, scalar: complex) -> "ComplexPolynomial":
-        return ComplexPolynomial(tuple(complex(scalar) * c for c in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ComplexPolynomial":
-        return self * (-1.0)
-
 
 @dataclass(frozen=True)
 class GapSpec:

@@ -23,7 +23,7 @@ def random_complementary_pair(
     m = max(16 * (2 * degree + 1), 64)
     scale = float(np.max(np.abs(eval_on_circle_grid(p, m))))
     target = float(rng.uniform(0.2, 0.95)) if peak is None else peak
-    p = p * (target / scale)
+    p = ComplexPolynomial(tuple(complex(target / scale) * c for c in p.coeffs))
     completion = factorize(gram_polynomial(p))
     return p, completion.phi
 

@@ -473,6 +473,24 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err == f"error: --dim must be at most {cli.MAX_DIM}, got 100000000000\n"
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main([
+            "verify", "--delta", "1", "--epsilon", "0.1", "--dim", "4", "--seed", "-1",
+            "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+
+    def test_negative_seed_in_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 1.0, "epsilon": 0.1, "dim": 4, "seed": -1}))
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+
     def test_dim_at_cap_is_accepted(self):
         args = cli._build_parser().parse_args([
             "verify", "--delta", "1", "--epsilon", "0.1", "--dim", str(cli.MAX_DIM),
@@ -613,6 +631,16 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err == f"error: --dims must be at most {cli.MAX_DIM}, got 100000000000\n"
 
+    def test_negative_seed_is_config_error_before_any_row(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main([
+            "sweep", "--deltas", "1.0", "--epsilons", "0.1", "--dims", "4",
+            "--seeds", "0,-1", "--csv-out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: --seeds must be at least 0, got -1\n"
+
     def test_bound_violation_exit_code(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main([
@@ -734,6 +762,23 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: invalid value for {key!r}: ")
         assert captured.out == ""
+
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        # a misspelt key would otherwise leave its option at the default unnoticed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 1.0, "epsilon": 0.1, "oversampel": 64}))
+        code, _ = run_plan(tmp_path, "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config file {str(cfg)!r} has unknown key 'oversampel'\n"
+        assert captured.out == ""
+
+    def test_key_of_another_subcommand_is_known(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": math.pi / 2, "epsilon": 0.5, "dims": [4]}))
+        code, doc = run_plan(tmp_path, "--config", str(cfg))
+        assert code == EXIT_OK
+        assert (doc["t"], doc["n"]) == (4, 1)
 
     def test_missing_config_rejected(self, tmp_path):
         code, _ = run_plan(tmp_path, "--config", str(tmp_path / "none.json"))

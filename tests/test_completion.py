@@ -139,7 +139,7 @@ class TestFactorize:
     def test_global_phase_freedom(self):
         ups = build_upsilon(4, 3)
         phi = factorize(gram_polynomial(ups)).phi
-        rotated = complex(np.exp(0.7j)) * phi
+        rotated = ComplexPolynomial(tuple(complex(np.exp(0.7j)) * c for c in phi.coeffs))
         m = 16 * (2 * ups.degree + 1)
         assert completion_residual(ups, rotated, m) <= 1e-12
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigenreflect import gqsp
+from eigenreflect.circuit import synthesize
 from eigenreflect.completion import factorize, gram_polynomial
 from eigenreflect.gqsp import (
     ROTATION_CONVENTION,
@@ -15,7 +17,7 @@ from eigenreflect.gqsp import (
     reconstruct_polynomials,
     synthesize_angles,
 )
-from eigenreflect.poly import ComplexPolynomial, build_upsilon
+from eigenreflect.poly import ComplexPolynomial, GapSpec, build_upsilon
 
 from _pairs import padded, random_complementary_pair
 
@@ -168,3 +170,34 @@ class TestBranchPair:
             assert np.max(
                 np.abs(padded(q2, width) - sign * padded(phi, width))
             ) <= 1e-9
+
+    MIRROR_PLANS = [(math.pi / 4, 1e-2, 35), (math.pi / 16, 1e-3, 189), (math.pi / 64, 1e-3, 770)]
+
+    @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_PLANS)
+    def test_minus_branch_is_the_theta_negated_plus_branch(self, delta, epsilon, degree):
+        plus, minus = synthesize(GapSpec(delta, epsilon=epsilon)).branches
+        assert plus.degree == degree
+        assert minus.thetas == tuple(-t for t in plus.thetas)
+        assert minus.phis == plus.phis
+        assert minus.lambda_final == plus.lambda_final
+        assert minus.degenerate_steps == plus.degenerate_steps
+
+    @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_PLANS)
+    def test_minus_branch_encodes_the_negated_partner_exactly(self, delta, epsilon, degree):
+        plus, minus = synthesize(GapSpec(delta, epsilon=epsilon)).branches
+        p_plus, q_plus = reconstruct_polynomials(plus)
+        p_minus, q_minus = reconstruct_polynomials(minus)
+        assert np.array_equal(p_minus.as_array(), p_plus.as_array())
+        assert np.array_equal(q_minus.as_array(), -q_plus.as_array())
+
+    @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_PLANS)
+    def test_synthesize_peels_once(self, monkeypatch, delta, epsilon, degree):
+        pairs = []
+
+        def spy(p, q):
+            pairs.append((p, q))
+            return synthesize_angles(p, q)
+
+        monkeypatch.setattr(gqsp, "synthesize_angles", spy)
+        syn = synthesize(GapSpec(delta, epsilon=epsilon))
+        assert pairs == [(syn.kernel, syn.completion.phi)]

@@ -37,11 +37,6 @@ class TestComplexPolynomial:
         assert ComplexPolynomial(()).degree == 0
         assert ComplexPolynomial(()).as_array().tolist() == [0j]
 
-    def test_scalar_multiplication_and_negation(self):
-        p = ComplexPolynomial((1.0, -2.0))
-        assert (2 * p).as_array().tolist() == [2.0, -4.0]
-        assert (-p).as_array().tolist() == [-1.0, 2.0]
-
 
 class TestGapSpec:
     def test_half_turn_gap_is_allowed(self):

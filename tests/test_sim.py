@@ -10,12 +10,14 @@ from eigenreflect.circuit import (
     CircuitIR,
     ControlledOracle,
     adjoint,
+    build_reflection,
     build_w,
     compose,
+    synthesize,
 )
 from eigenreflect.completion import factorize, gram_polynomial
-from eigenreflect.gqsp import branch_pair
-from eigenreflect.poly import build_upsilon
+from eigenreflect.gqsp import branch_pair, synthesize_angles
+from eigenreflect.poly import ComplexPolynomial, GapSpec, build_upsilon
 from eigenreflect.sim import pue_block, realize, spectral_norm
 
 
@@ -177,6 +179,21 @@ class TestBranchBlocks:
         # unitarity of the whole walk makes the two blocks complementary
         gram = top.conj().T @ top + bottom.conj().T @ bottom
         assert spectral_norm(gram - np.eye(5)) <= 1e-10
+
+
+class TestMirroredMinusBranch:
+    def test_composite_block_matches_the_peeled_minus_branch(self):
+        # reference: the minus branch peeled from the negated partner
+        syn = synthesize(GapSpec(math.pi / 4, epsilon=1e-2))
+        negated = ComplexPolynomial(tuple(-c for c in syn.completion.phi.coeffs))
+        plus, mirrored = syn.branches
+        peeled = synthesize_angles(syn.kernel, negated)
+        u = random_unitary(8, seed=21)
+        blocks = [
+            pue_block(realize(build_reflection(syn.plan, (plus, minus)), u))
+            for minus in (peeled, mirrored)
+        ]
+        assert spectral_norm(blocks[0] - blocks[1]) <= 1e-12
 
 
 class TestPueBlock:
