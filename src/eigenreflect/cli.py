@@ -11,7 +11,7 @@ products, hence the last digits of the reported floats).
 
 Exit codes: 0 success (verify: bound met), 1 verify ran but the bound
 was violated (sweep: on some row), 2 configuration or input error (such
-as a --dim or --dims entry above MAX_DIM = 1024), 3 completion failure,
+as a --dim or --dims entry outside 1 to MAX_DIM = 1024), 3 completion failure,
 4 gap violation, 5 target phase absent from the spectrum, 6 sweep rows
 that failed to run (their result cells are empty).
 """
@@ -463,15 +463,16 @@ def _option(
     convert: Callable[[Any], Any],
     help: str,
     default: Any = None,
-    check: tuple[str, Callable[[Any], bool]] | None = None,
+    *checks: tuple[str, Callable[[Any], bool]],
 ) -> Any:
-    """A row of the option table: `check` is a requirement phrase and the predicate it names."""
-    meta = {"commands": commands.split(), "convert": convert, "help": help, "check": check}
+    """A row of the option table: each check is a requirement phrase and the predicate it names."""
+    meta = {"commands": commands.split(), "convert": convert, "help": help, "checks": checks}
     return field(default=default, metadata=meta)
 
 
 _ALL = "plan synth verify sweep"
 _DIM_CAP = (f"at most {MAX_DIM}", lambda d: d <= MAX_DIM)
+_POSITIVE = ("at least 1", lambda n: n >= 1)
 _SEED_FLOOR = ("at least 0", lambda s: s >= 0)  # numpy's generators take no negative seed
 
 
@@ -505,12 +506,16 @@ class JobConfig:
     circuit_out: str | None = _option("synth", os.fspath, "circuit JSON path")
     angles_out: str | None = _option("synth", os.fspath, "angle JSON path")
     matrix: str | None = _option("verify", os.fspath, "matrix JSON file to verify against")
-    dim: int | None = _option("verify", _integer, "generated instance dimension", None, _DIM_CAP)
-    multiplicity: int = _option("verify", _integer, "target multiplicity (default 1)", 1)
+    dim: int | None = _option(
+        "verify", _integer, "generated instance dimension", None, _POSITIVE, _DIM_CAP
+    )
+    multiplicity: int = _option("verify", _integer, "target multiplicity (default 1)", 1, _POSITIVE)
     seed: int = _option("verify", _integer, "generator seed (default 0)", 0, _SEED_FLOOR)
     deltas: tuple[float, ...] = _option("sweep", _reals, "comma-separated gap half-widths", ())
     epsilons: tuple[float, ...] = _option("sweep", _reals, "comma-separated error budgets", ())
-    dims: tuple[int, ...] = _option("sweep", _integers, "comma-separated dimensions", (), _DIM_CAP)
+    dims: tuple[int, ...] = _option(
+        "sweep", _integers, "comma-separated dimensions", (), _POSITIVE, _DIM_CAP
+    )
     seeds: tuple[int, ...] = _option("sweep", _integers, "comma-separated seeds", (), _SEED_FLOOR)
     csv_out: str | None = _option("sweep", os.fspath, "CSV path ('-' for stdout)")
 
@@ -519,6 +524,10 @@ class JobConfig:
             raise ValueError("--delta and --epsilon are required")
         if self.command == "verify" and (self.matrix is None) == (self.dim is None):
             raise ValueError("verify needs exactly one of --matrix and --dim")
+        if self.command == "verify" and self.dim is not None and self.multiplicity > self.dim:
+            raise ValueError(
+                f"--multiplicity must be at most --dim ({self.dim}), got {self.multiplicity}"
+            )
 
     @property
     def gap(self) -> GapSpec:
@@ -552,7 +561,7 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
     """Config-file values fill in, explicit flags win; each value is converted and checked."""
     merged = _read_json(args.config, "config file") if "config" in args else {}
     if not isinstance(merged, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise ValueError(f"config file {args.config!r} must hold a JSON object")
     for key in merged:  # in file order, so the key named is the same on every run
         if key not in _KEYS:
             raise ValueError(f"config file {args.config!r} has unknown key {key!r}")
@@ -565,9 +574,8 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
             value = f.metadata["convert"](merged[f.name])
         except (TypeError, ValueError, OverflowError):  # float() of a 400-digit integer overflows
             raise ValueError(f"invalid value for {f.name!r}: {merged[f.name]!r}") from None
-        if f.metadata["check"] is not None:
-            requirement, holds = f.metadata["check"]
-            for x in value if isinstance(value, tuple) else (value,):
+        for x in value if isinstance(value, tuple) else (value,):
+            for requirement, holds in f.metadata["checks"]:
                 if not holds(x):
                     raise ValueError(f"{flag} must be {requirement}, got {x!r}")
         values[f.name] = value

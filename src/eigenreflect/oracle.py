@@ -15,9 +15,26 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .circuit import CircuitIR, GateCounts, Synthesis, gate_counts, predicted_counts
+from .circuit import (
+    AncillaRotation,
+    CircuitIR,
+    Gate,
+    GateCounts,
+    Synthesis,
+    adjoint,
+    gate_counts,
+    predicted_counts,
+)
 from .poly import ComplexPolynomial, GapSpec, ReflectionPlan
-from .sim import UNITARY_TOL, _apply_gates, _require_unitary, pue_block, spectral_norm
+from .sim import (
+    UNITARY_TOL,
+    _apply_gates,
+    _gram_defect,
+    _mirrored_composite,
+    _require_unitary,
+    pue_block,
+    spectral_norm,
+)
 
 __all__ = [
     "PHASE_MATCH_TOL",
@@ -82,35 +99,51 @@ class VerificationReport:
     target_multiplicity: int
 
 
-def decompose(u: np.ndarray) -> SpectralData:
+def decompose(u: np.ndarray, *, gap: GapSpec | None = None) -> SpectralData:
     """Eigenphases (ascending, in (-pi, pi]) and an orthonormal eigenbasis.
 
     Uses the Cayley transform, so a Hermitian eigensolver does the work.
-    The eigenvalues (`eigvals`, used for nothing else) place a pole
-    alpha + pi at the middle of the widest empty arc of the spectrum,
-    which is at least pi / dim from every eigenvalue for any unitary.
-    With V = exp(-i alpha) U, H = i (1 - V)(1 + V)^-1 is Hermitian with
-    eigenvalues tan((lam - alpha) / 2), injective on the circle minus
-    the pole, so `eigh` of H gives an orthonormal eigenbasis of U, also
-    for degenerate eigenvalues, and each phase is alpha + 2 arctan(w).
-    The one solve is well conditioned: ||(1 + V)^-1|| is at most
-    1 / (2 sin(pi / (2 dim))), about dim / pi (82 at dim 256).  A phase
-    within `_CUT_TOL` of -pi is the eigenvalue -1 up to rounding and is
-    reported as pi.  The reconstruction is re-checked so a silently bad
-    decomposition cannot leak into downstream verdicts.
+    With a pole at alpha + pi and V = exp(-i alpha) U,
+    H = i (1 - V)(1 + V)^-1 is Hermitian with eigenvalues
+    tan((lam - alpha) / 2), injective on the circle minus the pole, so
+    `eigh` of H gives an orthonormal eigenbasis of U, also for
+    degenerate eigenvalues, and each phase is alpha + 2 arctan(w).  The
+    one solve is as well conditioned as the pole is far from the
+    spectrum: ||(1 + V)^-1|| is 1 / (2 sin(d / 2)) at distance d.
+
+    Given a `gap` whose promise holds, the pole sits at theta + delta / 2,
+    at least delta / 2 from every eigenvalue.  That is taken when
+    delta / 2 >= pi / dim and checked for free: max |w| <= cot(delta / 4)
+    holds exactly when no eigenvalue is closer than delta / 2.  Otherwise,
+    when the solve fails, and with no gap, the eigenvalues (`eigvals`,
+    used for nothing else) place the pole at the middle of the widest
+    empty arc of the spectrum, at least pi / dim from every eigenvalue
+    for any unitary (the solve's norm is then about dim / pi, 82 at
+    dim 256).  A phase within `_CUT_TOL` of -pi is the eigenvalue -1 up to
+    rounding and is reported as pi.  The reconstruction is re-checked so
+    a silently bad decomposition cannot leak into downstream verdicts.
     """
     u = _require_unitary(u)
     dim = u.shape[0]
     if dim == 0:  # no spectrum to place a pole against
         return SpectralData(np.zeros(0), np.zeros((0, 0), dtype=complex))
-    lam = np.sort(np.angle(np.linalg.eigvals(u)))
-    arcs = np.diff(lam, append=lam[0] + 2.0 * np.pi)  # arc k runs from lam[k]
-    widest = int(np.argmax(arcs))
-    alpha = lam[widest] + 0.5 * arcs[widest] - np.pi
-    v = np.exp(-1j * alpha) * u
-    eye = np.eye(dim)
-    h = 1j * np.linalg.solve(eye + v, eye - v)  # (1 - V) and (1 + V)^-1 commute
-    w, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
+    found = None
+    if gap is not None and 0.5 * gap.delta >= np.pi / dim:
+        alpha = gap.theta + 0.5 * gap.delta - np.pi
+        try:
+            w, vectors = _cayley_eigh(u, alpha)
+        except np.linalg.LinAlgError:
+            pass
+        else:  # written so that a nan or inf in w fails the check
+            if np.abs(w).max() <= (1.0 + 1e-9) / np.tan(0.25 * gap.delta):
+                found = alpha, w, vectors
+    if found is None:
+        lam = np.sort(np.angle(np.linalg.eigvals(u)))
+        arcs = np.diff(lam, append=lam[0] + 2.0 * np.pi)  # arc k runs from lam[k]
+        widest = int(np.argmax(arcs))
+        alpha = lam[widest] + 0.5 * arcs[widest] - np.pi
+        found = (alpha, *_cayley_eigh(u, alpha))
+    alpha, w, vectors = found
     phases = np.pi - np.mod(np.pi - (alpha + 2.0 * np.arctan(w)), 2.0 * np.pi)
     phases[phases <= _CUT_TOL - np.pi] = np.pi
     order = np.argsort(phases, kind="stable")
@@ -119,6 +152,14 @@ def decompose(u: np.ndarray) -> SpectralData:
     if residual > UNITARY_TOL:
         raise ValueError(f"eigendecomposition failed (residual {residual:.3e})")
     return data
+
+
+def _cayley_eigh(u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """`eigh` of the Cayley transform of exp(-i alpha) u, whose pole is alpha + pi."""
+    v = np.exp(-1j * alpha) * u
+    eye = np.eye(u.shape[0])
+    h = 1j * np.linalg.solve(eye + v, eye - v)  # (1 - V) and (1 + V)^-1 commute
+    return np.linalg.eigh(0.5 * (h + h.conj().T))
 
 
 def _circular_distance(phases: np.ndarray, theta: float) -> np.ndarray:
@@ -159,33 +200,46 @@ def apply_poly(s: SpectralData, p: ComplexPolynomial) -> np.ndarray:
     return (v * vals) @ v.conj().T
 
 
+def _mirror(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
+    """The adjoint of a walk's Z-mirror, the walk with every rotation theta negated."""
+    negated = (replace(g, theta=-g.theta) if isinstance(g, AncillaRotation) else g for g in gates)
+    return adjoint(CircuitIR(tuple(negated), 0)).gates
+
+
 def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport:
     """Full verdict on a synthesized circuit against the ideal reflection.
 
-    The circuit is realized once; the plus branch that opens it is a
-    snapshot on the way.  The composite block is compared with the
-    reflection through the exact target eigenspace, and the plus branch
-    block with the kernel applied spectrally at phases shifted by theta,
-    so both verdicts rest on the eigendecomposition, not on the angles.
-    `decompose` checks that u is unitary; the realization reuses that
-    check.  The completion residual is the record's, made once per plan.
+    The plus branch walk W+ that opens the circuit is realized gate by
+    gate.  When the tail is its Z-mirror's adjoint gate for gate, as
+    every synthesized tail is, the composite is W = (Z W+ Z)^dagger W+,
+    one product; any other tail is realized gate by gate from W+.  The
+    composite block is compared with the reflection through the exact
+    target eigenspace, and the plus branch block with the kernel applied
+    spectrally at phases shifted by theta, so both verdicts rest on the
+    eigendecomposition, not on the angles.  `decompose` places its pole
+    by the plan's gap promise and checks that u is unitary; the
+    realization reuses that check.  The completion residual is the
+    record's, made once per plan.
     """
     plan = synthesis.plan
     gap = plan.gap
-    s = decompose(u)
+    s = decompose(u, gap=gap)
     multiplicity = validate_gap(s, gap)
     ideal = 2.0 * exact_projector(s, gap.theta) - np.eye(s.dim)
 
     u = np.asarray(u, dtype=complex)
     split = 2 * plan.degree + 1  # gates of the plus branch walk
-    gates = synthesis.circuit.gates
-    w_plus = _apply_gates(CircuitIR(gates[:split], plan.degree), u)
-    w = _apply_gates(CircuitIR(gates[split:], plan.degree), u, initial=w_plus)
+    head, tail = synthesis.circuit.gates[:split], synthesis.circuit.gates[split:]
+    w_plus = _apply_gates(CircuitIR(head, plan.degree), u)
+    if tail == _mirror(head):
+        w = _mirrored_composite(w_plus)
+    else:
+        w = _apply_gates(CircuitIR(tail, plan.degree), u, initial=w_plus)
     measured = spectral_norm(pue_block(w, "top_left") - ideal)
     bound = 4.0 * gap.epsilon
-    unitarity = spectral_norm(w.conj().T @ w - np.eye(2 * s.dim))
+    unitarity = _gram_defect(w)
 
-    branch_unitarity = spectral_norm(w_plus.conj().T @ w_plus - np.eye(2 * s.dim))
+    branch_unitarity = _gram_defect(w_plus)
     shifted = replace(s, eigenphases=s.eigenphases - gap.theta)
     block_vs_oracle = spectral_norm(
         pue_block(w_plus, "top_left") - apply_poly(shifted, synthesis.kernel)

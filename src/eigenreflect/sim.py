@@ -14,7 +14,7 @@ its adjoint, one dim x dim by dim x (2 dim) product.  U is used only
 through such products, never diagonalized: the eigenbasis belongs to
 the oracle path (`oracle.decompose`), and the circuit check must not
 lean on the computation it is compared with.  Written for desk-scale
-verification, system dims up to 256.
+verification, system dims up to 1024 (the CLI's MAX_DIM).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def _require_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("operator must be a square matrix")
-    defect = spectral_norm(u.conj().T @ u - np.eye(u.shape[0]))
+    defect = _gram_defect(u)
     if defect > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     return u
@@ -83,6 +83,21 @@ def _apply_gates(c: CircuitIR, u: np.ndarray, initial: np.ndarray | None = None)
     return np.concatenate((top, bottom))
 
 
+def _mirrored_composite(w_plus: np.ndarray) -> np.ndarray:
+    """W = (Z W+ Z)^dagger W+, Z = diag(1, -1) on the ancilla.
+
+    The realization of a walk followed by the adjoint of its Z-mirror,
+    which is the walk with every rotation theta negated.  Conjugating
+    by Z negates the two off-diagonal ancilla blocks; the conjugate copy
+    lives only here, so no extra (2 dim)^2 array outlives the product.
+    """
+    h = w_plus.shape[0] // 2
+    m = w_plus.conj()
+    m[:h, h:] *= -1
+    m[h:, :h] *= -1
+    return m.T @ w_plus
+
+
 def pue_block(w: np.ndarray, which: str = "top_left") -> np.ndarray:
     """The <a| w |0> sub-block for ancilla bra a in {0, 1}."""
     w = np.asarray(w, dtype=complex)
@@ -104,3 +119,12 @@ def spectral_norm(a: np.ndarray) -> float:
     if min(a.shape) == 0:
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def _gram_defect(w: np.ndarray) -> float:
+    """||w^dagger w - I||, the spectral norm of a Hermitian matrix: its largest |eigenvalue|."""
+    if w.size == 0:
+        return 0.0
+    g = w.conj().T @ w
+    g[np.diag_indices_from(g)] -= 1.0
+    return float(np.abs(np.linalg.eigvalsh(g)).max())

@@ -433,6 +433,23 @@ class TestVerify:
         assert code == EXIT_GAP_VIOLATION
         assert "gap arc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("offset", [math.pi / 4, math.pi / 2 - 1e-6, -math.pi / 2 + 1e-6])
+    def test_planted_gap_violation_exit_code(self, tmp_path, capsys, offset):
+        # one eigenvalue at the gap pole theta + delta / 2, just inside
+        # theta + delta, and just inside theta - delta
+        theta = 0.7
+        phases = theta + np.array([0.0, offset, math.pi, 2.0, -2.0, 2.6])
+        q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(6, 6)) + 0j)
+        m = tmp_path / "u.json"
+        save_matrix(str(m), (q * np.exp(1j * phases)) @ q.conj().T)
+        code = main([
+            "verify", "--matrix", str(m), "--delta", PI_HALF, "--theta", repr(theta),
+            "--epsilon", "0.1", "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == EXIT_GAP_VIOLATION
+        assert not (tmp_path / "r.json").exists()
+        assert "gap arc" in capsys.readouterr().err
+
     def test_target_absent_exit_code(self, tmp_path):
         m = tmp_path / "u.json"
         save_matrix(str(m), np.diag([np.exp(2j), np.exp(-2j)]))
@@ -490,6 +507,34 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
         assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+
+    def test_zero_dim_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["verify", "--delta", "1", "--epsilon", "0.1", "--dim", "0", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: --dim must be at least 1, got 0\n"
+
+    def test_zero_multiplicity_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main([
+            "verify", "--delta", "1", "--epsilon", "0.1", "--dim", "4", "--multiplicity", "0",
+            "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: --multiplicity must be at least 1, got 0\n"
+
+    def test_multiplicity_above_dim_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main([
+            "verify", "--delta", "1", "--epsilon", "0.1", "--dim", "4", "--multiplicity", "5",
+            "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: --multiplicity must be at most --dim (4), got 5\n"
 
     def test_dim_at_cap_is_accepted(self):
         args = cli._build_parser().parse_args([
@@ -641,6 +686,16 @@ class TestSweep:
         assert not out.exists()
         assert capsys.readouterr().err == "error: --seeds must be at least 0, got -1\n"
 
+    def test_zero_dims_is_config_error_before_any_row(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main([
+            "sweep", "--deltas", "1.0", "--epsilons", "0.1", "--dims", "4,0",
+            "--seeds", "0", "--csv-out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: --dims must be at least 1, got 0\n"
+
     def test_bound_violation_exit_code(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main([
@@ -706,6 +761,14 @@ class TestConfigFile:
         cfg.write_text("[1, 2]")
         code, _ = run_plan(tmp_path, "--config", str(cfg))
         assert code == EXIT_CONFIG
+
+    def test_non_object_config_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "arr.json"
+        cfg.write_text("[1, 2]")
+        code, _ = run_plan(tmp_path, "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: config file {str(cfg)!r} must hold a JSON object\n"
 
     @pytest.mark.parametrize(
         "command, doc, key",

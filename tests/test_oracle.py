@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eigenreflect import circuit
-from eigenreflect.circuit import synthesize
+from eigenreflect import circuit, oracle, sim
+from eigenreflect.circuit import CircuitIR, synthesize
 from eigenreflect.oracle import (
     GapViolation,
     SpectralData,
@@ -27,7 +27,7 @@ from eigenreflect.poly import (
     max_modulus_outside_gap,
     select_parameters,
 )
-from eigenreflect.sim import spectral_norm
+from eigenreflect.sim import realize, spectral_norm
 from eigenreflect.testgen import SpectrumSpec, random_gapped_unitary
 
 
@@ -384,6 +384,133 @@ class TestVerifyReflection:
         u = np.diag([np.exp(2j), np.exp(-2j)])
         with pytest.raises(TargetAbsent):
             verify_reflection(u, syn)
+
+
+def _count_eigvals(monkeypatch):
+    calls = []
+    real = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a) or real(a))
+    return calls
+
+
+class TestDecomposeGapPole:
+    """decompose(u, gap=...): the pole at theta + delta / 2, placed by the promise."""
+
+    CASES = [
+        (8, math.pi / 2, 0.0, 1),
+        (16, 0.5, -2.1, 3),
+        (64, math.pi / 4, 1.3, 1),
+        (96, math.pi / 3, math.pi, 3),
+        (128, 0.05, 0.4, 1),  # delta / 2 just above pi / dim
+    ]
+
+    @pytest.mark.parametrize("dim, delta, theta, multiplicity", CASES)
+    def test_agrees_with_the_eigvals_pole(self, dim, delta, theta, multiplicity):
+        spec = SpectrumSpec(dim, delta, theta, multiplicity, seed=dim)
+        u = random_gapped_unitary(spec)
+        by_gap = decompose(u, gap=GapSpec(delta, theta=theta, epsilon=0.1))
+        by_eigvals = decompose(u)
+        assert np.max(np.abs(by_gap.eigenphases - by_eigvals.eigenphases)) <= 1e-13
+        assert spectral_norm(
+            exact_projector(by_gap, theta) - exact_projector(by_eigvals, theta)
+        ) <= 1e-12
+
+    @pytest.mark.parametrize("dim, delta, theta, multiplicity", CASES)
+    def test_a_kept_promise_calls_no_eigvals(self, monkeypatch, dim, delta, theta, multiplicity):
+        u = random_gapped_unitary(SpectrumSpec(dim, delta, theta, multiplicity, seed=dim))
+        calls = _count_eigvals(monkeypatch)
+        s = decompose(u, gap=GapSpec(delta, theta=theta, epsilon=0.1))
+        assert calls == []
+        _assert_exact(s, u)
+
+    def test_a_narrow_gap_places_the_pole_by_eigvals(self, monkeypatch):
+        # delta / 2 < pi / dim: the gap pole would be worse conditioned
+        u = random_gapped_unitary(SpectrumSpec(dim=128, delta=0.04, seed=2))
+        calls = _count_eigvals(monkeypatch)
+        s = decompose(u, gap=GapSpec(0.04, epsilon=0.1))
+        assert len(calls) == 1
+        _assert_exact(s, u)
+
+
+class TestPlantedGapViolation:
+    """One eigenvalue planted inside the arc is reported, whichever pole decomposes it."""
+
+    GAP = GapSpec(math.pi / 2, theta=0.7, epsilon=1e-2)
+    PLANTED = {
+        "at the gap pole": 0.7 + math.pi / 4,
+        "next to the gap pole": 0.7 + math.pi / 4 + 1e-13,
+        "just inside theta + delta": 0.7 + math.pi / 2 - 1e-6,
+        "inside theta - delta": 0.7 - 0.3 * math.pi / 2,
+        "just inside theta - delta": 0.7 - math.pi / 2 + 1e-6,
+    }
+
+    @classmethod
+    def unitary(cls, planted):
+        theta = cls.GAP.theta
+        others = theta + np.array([math.pi, 2.0, -2.0, 1.7, -2.6, 2.9, -1.8])
+        return _with_phases([theta, theta, planted, *others], seed=9)
+
+    @pytest.mark.parametrize("planted", PLANTED.values(), ids=PLANTED)
+    def test_verify_raises_gap_violation(self, monkeypatch, planted):
+        calls = _count_eigvals(monkeypatch)
+        with pytest.raises(GapViolation) as info:
+            verify_reflection(self.unitary(planted), synthesize(self.GAP))
+        assert info.value.offending_phase == pytest.approx(planted, abs=1e-9)
+        # the (theta, theta + delta) side lies within delta / 2 of the gap
+        # pole, so the check sends it to eigvals; the other side does not
+        assert len(calls) == (planted > self.GAP.theta)
+
+
+MIRROR_RECORDS = [(math.pi / 2, 1e-3, 21), (math.pi / 4, 1e-2, 35), (math.pi / 16, 1e-3, 189)]
+
+
+class TestMirroredComposite:
+    """verify forms W from the plus walk when the tail is its mirror's adjoint."""
+
+    @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_RECORDS)
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_matches_the_gate_by_gate_realization(self, delta, epsilon, degree, dim):
+        theta = 0.6
+        syn = synthesize(GapSpec(delta, theta=theta, epsilon=epsilon))
+        assert syn.plan.degree == degree
+        u = random_gapped_unitary(SpectrumSpec(dim=dim, delta=delta, theta=theta, seed=dim))
+        split = 2 * degree + 1
+        head, tail = syn.circuit.gates[:split], syn.circuit.gates[split:]
+        assert tail == oracle._mirror(head)
+        mirrored = sim._mirrored_composite(realize(CircuitIR(head, degree), u))
+        assert spectral_norm(mirrored - realize(syn.circuit, u)) <= 1e-12
+
+    @staticmethod
+    def spy_on_walks(monkeypatch):
+        walks = []
+        real = oracle._apply_gates
+        monkeypatch.setattr(
+            oracle, "_apply_gates", lambda c, *a, **k: walks.append(c) or real(c, *a, **k)
+        )
+        return walks
+
+    @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_RECORDS)
+    def test_one_branch_walk_per_verify(self, monkeypatch, delta, epsilon, degree):
+        syn = synthesize(GapSpec(delta, theta=-0.4, epsilon=epsilon))
+        u = random_gapped_unitary(SpectrumSpec(dim=8, delta=delta, theta=-0.4, seed=1))
+        walks = self.spy_on_walks(monkeypatch)
+        assert verify_reflection(u, syn).bound_satisfied
+        assert [len(c.gates) for c in walks] == [2 * degree + 1]
+
+    def test_an_edited_tail_is_realized_gate_by_gate(self, monkeypatch):
+        gap = GapSpec(math.pi / 2, epsilon=1e-2)
+        syn = synthesize(gap)
+        u = random_gapped_unitary(SpectrumSpec(dim=8, delta=gap.delta, seed=3))
+        split = 2 * syn.plan.degree + 1
+        gates = list(syn.circuit.gates)
+        gates[split + 2] = replace(gates[split + 2], theta=gates[split + 2].theta + 0.1)
+        bad = replace(syn, circuit=replace(syn.circuit, gates=tuple(gates)))
+        walks = self.spy_on_walks(monkeypatch)
+        good_report, bad_report = verify_reflection(u, syn), verify_reflection(u, bad)
+        assert [len(c.gates) for c in walks] == [split, split, split]  # head; head, tail
+        assert good_report.measured_error <= 1e-5
+        assert bad_report.measured_error > 1e-3
+        assert bad_report.oracle_block_residual == good_report.oracle_block_residual
 
 
 class TestSpectralData:

@@ -18,7 +18,7 @@ from eigenreflect.circuit import (
 from eigenreflect.completion import factorize, gram_polynomial
 from eigenreflect.gqsp import branch_pair, synthesize_angles
 from eigenreflect.poly import ComplexPolynomial, GapSpec, build_upsilon
-from eigenreflect.sim import pue_block, realize, spectral_norm
+from eigenreflect.sim import _gram_defect, pue_block, realize, spectral_norm
 
 
 def random_unitary(dim, seed):
@@ -239,3 +239,33 @@ class TestSpectralNorm:
         a = 1e-13 * (rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300)))
         expected = np.linalg.svd(a, compute_uv=False)[0]
         assert spectral_norm(a) == pytest.approx(expected, rel=1e-12)
+
+
+class TestGramDefect:
+    """||w^dagger w - I|| from eigvalsh agrees with the SVD norm of the same difference."""
+
+    @staticmethod
+    def svd_defect(w):
+        return spectral_norm(w.conj().T @ w - np.eye(w.shape[0]))
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1])
+    def test_near_unitary(self, dim, scale):
+        # defects far above rounding, so the last bits of the Gram product do not matter
+        rng = np.random.default_rng(dim)
+        w = random_unitary(dim, seed=dim) + scale * (
+            rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        )
+        assert _gram_defect(w) == pytest.approx(self.svd_defect(w), rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_residual_sized(self, dim):
+        # a realized synthesized circuit, whose defect is rounding alone
+        syn = synthesize(GapSpec(math.pi / 4, epsilon=1e-2))
+        w = realize(syn.circuit, random_unitary(dim, seed=3))
+        defect = _gram_defect(w)
+        assert 0.0 < defect <= 1e-12
+        assert defect == pytest.approx(self.svd_defect(w), rel=1e-12)
+
+    def test_empty(self):
+        assert _gram_defect(np.zeros((0, 0), dtype=complex)) == 0.0
