@@ -16,10 +16,9 @@ pipeline once and keeps every stage in one `Synthesis` record.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Union
 
-from .completion import CompletionResult, completion_residual, factorize, gram_polynomial
+from .completion import CompletionResult, factorize, gram_polynomial
 from .gqsp import GQSPAngleSequence, branch_pair
 from .poly import ComplexPolynomial, GapSpec, ReflectionPlan, build_upsilon, select_parameters
 
@@ -167,6 +166,8 @@ def predicted_counts(plan: ReflectionPlan) -> GateCounts:
 class Synthesis:
     """One plan carried through the pipeline: kernel, completion, angles, circuit.
 
+    A plain record filled once by `synthesize`; its one completion residual is
+    `completion.residual`, the value `factorize` checked against the tolerance.
     The plus branch is peeled once and the minus branch is its Z-mirror
     (every theta negated); the circuit is the plus walk, then the adjoint
     of the minus walk, so its first 2 * degree + 1 gates are the plus branch.
@@ -177,16 +178,6 @@ class Synthesis:
     completion: CompletionResult
     branches: tuple[GQSPAngleSequence, GQSPAngleSequence]
     circuit: CircuitIR
-
-    @cached_property
-    def completion_residual(self) -> float:
-        """Max of | |kernel|^2 + |phi|^2 - 1 | over 16 * (2 * degree + 1) circle points.
-
-        Made on first use and kept: every verification of the plan reads
-        the one value, and `synth`, which never reports it, pays nothing.
-        """
-        grid = 16 * (2 * self.plan.degree + 1)
-        return completion_residual(self.kernel, self.completion.phi, grid)
 
 
 def synthesize(

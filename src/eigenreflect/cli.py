@@ -336,7 +336,8 @@ def cmd_verify(cfg: JobConfig) -> int:
     if cfg.matrix is not None:
         u = load_matrix(cfg.matrix)
     else:
-        spec = SpectrumSpec(cfg.dim, gap.delta, gap.theta, cfg.multiplicity, cfg.seed)
+        multiplicity = 1 if cfg.multiplicity is None else cfg.multiplicity
+        spec = SpectrumSpec(cfg.dim, gap.delta, gap.theta, multiplicity, cfg.seed or 0)
         u = random_gapped_unitary(spec)
     syn = synthesize(
         gap, use_paper_t_formula=cfg.use_paper_t_formula, completion_tol=cfg.completion_tol
@@ -509,8 +510,10 @@ class JobConfig:
     dim: int | None = _option(
         "verify", _integer, "generated instance dimension", None, _POSITIVE, _DIM_CAP
     )
-    multiplicity: int = _option("verify", _integer, "target multiplicity (default 1)", 1, _POSITIVE)
-    seed: int = _option("verify", _integer, "generator seed (default 0)", 0, _SEED_FLOOR)
+    multiplicity: int | None = _option(
+        "verify", _integer, "target multiplicity (default 1)", None, _POSITIVE
+    )
+    seed: int | None = _option("verify", _integer, "generator seed (default 0)", None, _SEED_FLOOR)
     deltas: tuple[float, ...] = _option("sweep", _reals, "comma-separated gap half-widths", ())
     epsilons: tuple[float, ...] = _option("sweep", _reals, "comma-separated error budgets", ())
     dims: tuple[int, ...] = _option(
@@ -524,7 +527,11 @@ class JobConfig:
             raise ValueError("--delta and --epsilon are required")
         if self.command == "verify" and (self.matrix is None) == (self.dim is None):
             raise ValueError("verify needs exactly one of --matrix and --dim")
-        if self.command == "verify" and self.dim is not None and self.multiplicity > self.dim:
+        if self.command == "verify" and self.matrix is not None:
+            for name in ("multiplicity", "seed"):  # the generator's: a matrix file has neither
+                if getattr(self, name) is not None:
+                    raise ValueError(f"--{name} applies only to a generated instance (--dim)")
+        elif self.command == "verify" and (self.multiplicity or 1) > self.dim:
             raise ValueError(
                 f"--multiplicity must be at most --dim ({self.dim}), got {self.multiplicity}"
             )

@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,7 +58,7 @@ ROTATION_CONVENTION = (
 
 @dataclass(frozen=True)
 class GQSPAngleSequence:
-    """Angles for one branch walk of degree len(thetas) - 1.
+    """Angles for one branch walk of degree len(thetas) - 1, in ROTATION_CONVENTION.
 
     degenerate_steps records the step indices resolved by the trailing
     -coefficient tie-break; empty for well-conditioned pairs.
@@ -68,7 +68,6 @@ class GQSPAngleSequence:
     phis: tuple[float, ...]
     lambda_final: float
     degenerate_steps: tuple[int, ...] = ()
-    convention: str = field(default=ROTATION_CONVENTION)
 
     def __post_init__(self) -> None:
         if len(self.thetas) != len(self.phis):

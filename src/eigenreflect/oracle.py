@@ -218,8 +218,8 @@ def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport
     spectrally at phases shifted by theta, so both verdicts rest on the
     eigendecomposition, not on the angles.  `decompose` places its pole
     by the plan's gap promise and checks that u is unitary; the
-    realization reuses that check.  The completion residual is the
-    record's, made once per plan.
+    realization reuses that check.  The completion residual is the one
+    `factorize` measured and checked against the completion tolerance.
     """
     plan = synthesis.plan
     gap = plan.gap
@@ -235,15 +235,13 @@ def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport
         w = _mirrored_composite(w_plus)
     else:
         w = _apply_gates(CircuitIR(tail, plan.degree), u, initial=w_plus)
-    measured = spectral_norm(pue_block(w, "top_left") - ideal)
+    measured = spectral_norm(pue_block(w) - ideal)
     bound = 4.0 * gap.epsilon
     unitarity = _gram_defect(w)
 
     branch_unitarity = _gram_defect(w_plus)
     shifted = replace(s, eigenphases=s.eigenphases - gap.theta)
-    block_vs_oracle = spectral_norm(
-        pue_block(w_plus, "top_left") - apply_poly(shifted, synthesis.kernel)
-    )
+    block_vs_oracle = spectral_norm(pue_block(w_plus) - apply_poly(shifted, synthesis.kernel))
 
     return VerificationReport(
         measured_error=measured,
@@ -251,7 +249,7 @@ def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport
         bound_satisfied=bool(measured <= bound + _BOUND_SLACK),
         counts=gate_counts(synthesis.circuit),
         predicted_counts=predicted_counts(plan),
-        completion_residual=synthesis.completion_residual,
+        completion_residual=synthesis.completion.residual,
         unitarity_residual=unitarity,
         oracle_block_residual=block_vs_oracle,
         params=plan,

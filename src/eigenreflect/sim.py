@@ -98,17 +98,13 @@ def _mirrored_composite(w_plus: np.ndarray) -> np.ndarray:
     return m.T @ w_plus
 
 
-def pue_block(w: np.ndarray, which: str = "top_left") -> np.ndarray:
-    """The <a| w |0> sub-block for ancilla bra a in {0, 1}."""
+def pue_block(w: np.ndarray) -> np.ndarray:
+    """The <0| w |0> sub-block, the block a walk encodes its polynomial in."""
     w = np.asarray(w, dtype=complex)
     if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] % 2 != 0:
         raise ValueError("expected a square matrix of even dimension")
     half = w.shape[0] // 2
-    if which == "top_left":
-        return w[:half, :half]
-    if which == "bottom_left":
-        return w[half:, :half]
-    raise ValueError(f"unknown block {which!r}")
+    return w[:half, :half]
 
 
 def spectral_norm(a: np.ndarray) -> float:

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from eigenreflect import circuit
 from eigenreflect.circuit import (
     AncillaRotation,
     CircuitIR,
@@ -170,19 +169,16 @@ class TestSynthesize:
         assert syn.circuit == build_reflection(plan, syn.branches)
         assert gate_counts(syn.circuit) == predicted_counts(plan)
 
-    def test_completion_residual_is_made_on_first_use(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            circuit, "completion_residual",
-            lambda *a: calls.append(a) or completion_residual(*a),
-        )
-        syn = synthesize(GapSpec(math.pi / 8, epsilon=1e-3))
-        assert calls == []  # synth never reports it
-        grid = 16 * (2 * syn.plan.degree + 1)
-        expected = completion_residual(syn.kernel, syn.completion.phi, grid)
-        assert syn.completion_residual == expected <= 1e-10
-        assert syn.completion_residual == expected
-        assert len(calls) == 1
+    @pytest.mark.parametrize(
+        "k, epsilon, degree", [(4, 1e-2, 35), (32, 1e-3, 385), (256, 1e-3, 3101)]
+    )
+    def test_completion_residual_holds_on_an_odd_grid(self, k, epsilon, degree):
+        # the residual factorize measured on its power-of-two grid is the
+        # same quantity sampled on 16 (2d + 1) points, up to rounding
+        syn = synthesize(GapSpec(math.pi / k, epsilon=epsilon))
+        assert syn.plan.degree == degree
+        odd = completion_residual(syn.kernel, syn.completion.phi, 16 * (2 * degree + 1))
+        assert abs(syn.completion.residual - odd) <= 0.5 * max(syn.completion.residual, odd)
 
     def test_plus_branch_opens_the_circuit(self):
         syn = synthesize(GapSpec(math.pi / 2, theta=-1.2, epsilon=0.1))

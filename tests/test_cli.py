@@ -551,6 +551,31 @@ class TestVerify:
         ])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag, value", [("--multiplicity", "2"), ("--seed", "5")])
+    def test_generator_flag_with_matrix_is_config_error(self, tmp_path, capsys, flag, value):
+        m = tmp_path / "u.json"
+        save_matrix(str(m), np.diag([1.0, -1.0]).astype(complex))
+        out = tmp_path / "report.json"
+        args = ["verify", "--matrix", str(m), "--delta", "1", "--epsilon", "0.1"]
+        args += ["--out", str(out)]
+        assert main(args) == EXIT_OK
+        out.unlink()
+        assert main(args + [flag, value]) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} applies only to a generated instance (--dim)\n"
+
+    def test_generator_key_with_matrix_in_config_is_config_error(self, tmp_path, capsys):
+        m = tmp_path / "u.json"
+        save_matrix(str(m), np.diag([1.0, -1.0]).astype(complex))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 1.0, "epsilon": 0.1, "matrix": str(m), "seed": 0}))
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: --seed applies only to a generated instance (--dim)\n"
+
     def test_no_input_source(self):
         code = main(["verify", "--delta", "1.0", "--epsilon", "0.1"])
         assert code == EXIT_CONFIG

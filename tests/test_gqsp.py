@@ -11,7 +11,6 @@ from eigenreflect import gqsp
 from eigenreflect.circuit import synthesize
 from eigenreflect.completion import factorize, gram_polynomial
 from eigenreflect.gqsp import (
-    ROTATION_CONVENTION,
     GQSPAngleSequence,
     branch_pair,
     reconstruct_polynomials,
@@ -36,7 +35,6 @@ class TestSequenceContainer:
     def test_degree_counts_rotations(self):
         seq = GQSPAngleSequence(thetas=(0.1, 0.2), phis=(0.3, 0.4), lambda_final=0.5)
         assert seq.degree == 1
-        assert seq.convention == ROTATION_CONVENTION
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eigenreflect import circuit, oracle, sim
+from eigenreflect import circuit, completion, gqsp, oracle, sim
 from eigenreflect.circuit import CircuitIR, synthesize
 from eigenreflect.oracle import (
     GapViolation,
@@ -353,18 +353,23 @@ class TestVerifyReflection:
         assert verify_reflection(u, syn).oracle_block_residual <= 1e-8
         assert verify_reflection(u, bad).oracle_block_residual > 1e-3
 
-    def test_completion_residual_is_made_once_per_record(self, monkeypatch):
+    def test_reports_the_residual_factorize_checked(self, monkeypatch):
         gap = GapSpec(math.pi / 2, epsilon=1e-2)
         syn = synthesize(gap)
         calls = []
-        real = circuit.completion_residual
-        monkeypatch.setattr(
-            circuit, "completion_residual", lambda *a: calls.append(a) or real(*a)
-        )
+        real = completion.completion_residual
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (circuit, completion, gqsp, oracle, sim):  # every name verify could call
+            if hasattr(module, "completion_residual"):
+                monkeypatch.setattr(module, "completion_residual", spy)
         for seed in (1, 2):
             u = random_gapped_unitary(SpectrumSpec(dim=4, delta=gap.delta, seed=seed))
-            assert verify_reflection(u, syn).completion_residual == syn.completion_residual
-        assert len(calls) == 1
+            assert verify_reflection(u, syn).completion_residual == syn.completion.residual
+        assert calls == []
 
     def test_non_unitary_oracle_rejected(self):
         syn = synthesize(GapSpec(math.pi / 2, epsilon=0.1))

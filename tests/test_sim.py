@@ -172,8 +172,8 @@ class TestBranchBlocks:
         plus, _ = branch_pair(ups, phi)
         u = random_unitary(5, seed=11)
         w = realize(build_w(plus), u)
-        top = pue_block(w, "top_left")
-        bottom = pue_block(w, "bottom_left")
+        top = pue_block(w)
+        bottom = w[5:, :5]
         assert spectral_norm(top - poly_of_matrix(ups.coeffs, u)) <= 1e-10
         assert spectral_norm(bottom - poly_of_matrix(phi.coeffs, u)) <= 1e-10
         # unitarity of the whole walk makes the two blocks complementary
@@ -200,15 +200,10 @@ class TestPueBlock:
     def test_block_extraction(self):
         w = np.arange(16, dtype=complex).reshape(4, 4)
         assert np.array_equal(pue_block(w), w[:2, :2])
-        assert np.array_equal(pue_block(w, "bottom_left"), w[2:, :2])
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError, match="even"):
             pue_block(np.eye(3))
-
-    def test_unknown_block_rejected(self):
-        with pytest.raises(ValueError, match="unknown block"):
-            pue_block(np.eye(4), "top_right")
 
 
 class TestSpectralNorm:
