@@ -15,7 +15,7 @@ pipeline once and keeps every stage in one `Synthesis` record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from .completion import CompletionResult, factorize, gram_polynomial
@@ -118,7 +118,7 @@ def adjoint(c: CircuitIR) -> CircuitIR:
         if isinstance(g, AncillaRotation):
             inv.append(AncillaRotation(g.theta, -g.lam, -g.phi))
         else:
-            inv.append(replace(g, exponent=-g.exponent, phase_shift=-g.phase_shift))
+            inv.append(ControlledOracle(-g.exponent, -g.phase_shift))
     return CircuitIR(tuple(inv), declared_degree=c.declared_degree)
 
 
@@ -150,9 +150,15 @@ def build_reflection(
 
 
 def gate_counts(c: CircuitIR) -> GateCounts:
-    cu = sum(1 for g in c.gates if isinstance(g, ControlledOracle) and g.exponent == 1)
-    cud = sum(1 for g in c.gates if isinstance(g, ControlledOracle) and g.exponent == -1)
-    rot = sum(1 for g in c.gates if isinstance(g, AncillaRotation))
+    cu = cud = rot = 0
+    for g in c.gates:
+        if isinstance(g, AncillaRotation):
+            rot += 1
+        elif isinstance(g, ControlledOracle):
+            if g.exponent == 1:
+                cu += 1
+            elif g.exponent == -1:
+                cud += 1
     return GateCounts(cu, cud, rot)
 
 

@@ -6,21 +6,24 @@ Operators are plain complex ndarrays.  The realized space is
 ancilla bra/ket.  The oracle gate touches the system only when the
 ancilla is |1>, matching the shift convention of the angle synthesis.
 
-`realize` keeps the running product as its two ancilla row blocks,
-`top` (ancilla bra <0|) and `bottom` (bra <1|), each dim x (2 dim).
-An ancilla rotation mixes the two blocks with four scalars, O(dim^2);
-an oracle gate multiplies `bottom` alone by exp(-i phase_shift) U or
-its adjoint, one dim x dim by dim x (2 dim) product.  U is used only
-through such products, never diagonalized: the eigenbasis belongs to
-the oracle path (`oracle.decompose`), and the circuit check must not
-lean on the computation it is compared with.  Written for desk-scale
-verification, system dims up to 1024 (the CLI's MAX_DIM).
+`realize` reads the circuit once, building every rotation's 2 x 2
+matrix into one stacked array and each oracle body, exp(-i phase_shift)
+U or its adjoint, once per (exponent, phase_shift).  It keeps the
+running product (2 dim x cols, cols = 2 dim by default) as one
+2 x (dim cols) array: the row blocks of ancilla bra <0| and <1|, each
+read flat, stacked.  A rotation is one 2 x 2 product over the stacked
+rows, O(dim cols); an oracle gate multiplies the <1| block, viewed as
+dim x cols, by its body in place, one dim x dim by dim x cols product.
+U is used only through such products, never diagonalized: the
+eigenbasis belongs to the oracle path (`oracle.decompose`), and the
+circuit check must not lean on the computation it is compared with.
+Written for desk-scale verification, system dims up to 1024 (the CLI's
+MAX_DIM).
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
@@ -56,31 +59,39 @@ def _apply_gates(c: CircuitIR, u: np.ndarray, initial: np.ndarray | None = None)
     """`realize` for a u already checked unitary (a complex ndarray)."""
     dim = u.shape[0]
     if initial is None:
-        top = np.eye(dim, 2 * dim, dtype=complex)
-        bottom = np.eye(dim, 2 * dim, k=dim, dtype=complex)
+        rows = np.eye(2 * dim, dtype=complex)
     else:
-        initial = np.asarray(initial, dtype=complex)
-        if initial.ndim != 2 or initial.shape[0] != 2 * dim:
-            raise ValueError(f"initial must have {2 * dim} rows, got shape {initial.shape}")
-        top, bottom = initial[:dim], initial[dim:]
+        rows = np.array(initial, dtype=complex, order="C")  # a copy: oracle steps write into it
+        if rows.ndim != 2 or rows.shape[0] != 2 * dim:
+            raise ValueError(f"initial must have {2 * dim} rows, got shape {rows.shape}")
+    cols = rows.shape[1]
+    rows = rows.reshape(2, dim * cols)  # the ancilla bra <0| and <1| row blocks, each flat
+    angles: list[tuple[float, float, float]] = []
+    steps: list[int | np.ndarray] = []  # a rotation's index in `angles`, or an oracle body
     bodies: dict[tuple[int, float], np.ndarray] = {}
     for g in c.gates:
         if isinstance(g, AncillaRotation):
-            cos, sin = math.cos(g.theta), math.sin(g.theta)
-            el, ep = cmath.exp(1j * g.lam), cmath.exp(1j * g.phi)
-            top, bottom = (
-                (el * ep * cos) * top + (ep * sin) * bottom,
-                (el * sin) * top - cos * bottom,
-            )
+            steps.append(len(angles))
+            angles.append((g.theta, g.phi, g.lam))
         elif isinstance(g, ControlledOracle):
             key = (g.exponent, g.phase_shift)
             if key not in bodies:
                 power = u if g.exponent == 1 else u.conj().T
                 bodies[key] = cmath.exp(-1j * g.phase_shift) * power
-            bottom = bodies[key] @ bottom
+            steps.append(bodies[key])
         else:
             raise TypeError(f"unknown gate {g!r}")
-    return np.concatenate((top, bottom))
+    theta, phi, lam = np.array(angles, dtype=float).reshape(-1, 3).T
+    cos, sin = np.cos(theta), np.sin(theta)
+    el, ep = np.exp(1j * lam), np.exp(1j * phi)
+    mats = np.stack((el * ep * cos, ep * sin, el * sin, -cos), axis=-1).reshape(-1, 2, 2)
+    for step in steps:
+        if isinstance(step, int):
+            rows = mats[step] @ rows
+        else:
+            bottom = rows[1].reshape(dim, cols)
+            bottom[...] = step @ bottom
+    return rows.reshape(2 * dim, cols)
 
 
 def _mirrored_composite(w_plus: np.ndarray) -> np.ndarray:
@@ -122,5 +133,5 @@ def _gram_defect(w: np.ndarray) -> float:
     if w.size == 0:
         return 0.0
     g = w.conj().T @ w
-    g[np.diag_indices_from(g)] -= 1.0
+    g.flat[:: g.shape[0] + 1] -= 1.0
     return float(np.abs(np.linalg.eigvalsh(g)).max())

@@ -9,7 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigenreflect import circuit, completion, gqsp, oracle, sim
-from eigenreflect.circuit import CircuitIR, synthesize
+from eigenreflect.circuit import (
+    AncillaRotation,
+    CircuitIR,
+    ControlledOracle,
+    adjoint,
+    synthesize,
+)
 from eigenreflect.oracle import (
     GapViolation,
     SpectralData,
@@ -481,7 +487,7 @@ class TestMirroredComposite:
         u = random_gapped_unitary(SpectrumSpec(dim=dim, delta=delta, theta=theta, seed=dim))
         split = 2 * degree + 1
         head, tail = syn.circuit.gates[:split], syn.circuit.gates[split:]
-        assert tail == oracle._mirror(head)
+        assert oracle._mirrors(tail, head)
         mirrored = sim._mirrored_composite(realize(CircuitIR(head, degree), u))
         assert spectral_norm(mirrored - realize(syn.circuit, u)) <= 1e-12
 
@@ -516,6 +522,59 @@ class TestMirroredComposite:
         assert good_report.measured_error <= 1e-5
         assert bad_report.measured_error > 1e-3
         assert bad_report.oracle_block_residual == good_report.oracle_block_residual
+
+
+def reference_mirror(head):
+    # the adjoint of head's Z-mirror built gate by gate from public pieces,
+    # for a plain tuple comparison
+    negated = (replace(g, theta=-g.theta) if isinstance(g, AncillaRotation) else g for g in head)
+    return adjoint(CircuitIR(tuple(negated), 0)).gates
+
+
+def one_edit_tails(tail):
+    """Tails that differ from `tail` in one field of one gate, one gate's type, or length."""
+    for k, g in enumerate(tail):
+        if isinstance(g, AncillaRotation):
+            edits = [replace(g, **{f: getattr(g, f) + 1e-12}) for f in ("theta", "phi", "lam")]
+            edits += [replace(g, theta=math.nan), replace(g, phi=-g.phi), ControlledOracle(1)]
+        else:
+            edits = [replace(g, exponent=-g.exponent),
+                     replace(g, phase_shift=g.phase_shift + 1e-12),
+                     replace(g, phase_shift=math.nan),
+                     AncillaRotation(0.0, 0.0, 0.0)]
+        for edited in edits:
+            yield tail[:k] + (edited,) + tail[k + 1:]
+    yield tail[:-1]
+    yield tail[1:]
+    yield tail + tail[-1:]
+
+
+class TestMirrorCheck:
+    """The field-wise check agrees with comparing against the mirrored gates."""
+
+    @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_RECORDS)
+    def test_synthesized_tails_pass(self, delta, epsilon, degree):
+        syn = synthesize(GapSpec(delta, theta=0.6, epsilon=epsilon))
+        split = 2 * degree + 1
+        head, tail = syn.circuit.gates[:split], syn.circuit.gates[split:]
+        assert tail == reference_mirror(head)
+        assert oracle._mirrors(tail, head)
+        assert not oracle._mirrors(head, head)
+        assert not oracle._mirrors(tail, head[:-1])
+
+    def test_every_one_edit_tail_agrees_with_the_reference(self):
+        syn = synthesize(GapSpec(math.pi / 2, theta=0.6, epsilon=1e-3))
+        split = 2 * syn.plan.degree + 1
+        head, tail = syn.circuit.gates[:split], syn.circuit.gates[split:]
+        reference = reference_mirror(head)
+        verdicts = [
+            (oracle._mirrors(edited, head), edited == reference) for edited in one_edit_tails(tail)
+        ]
+        assert len(verdicts) == 6 * (split - syn.plan.degree) + 4 * syn.plan.degree + 3
+        assert all(check == expected for check, expected in verdicts)
+        # only flipping the sign of a zero phi leaves the gates equal
+        zero_phis = sum(isinstance(g, AncillaRotation) and g.phi == 0.0 for g in tail)
+        assert sum(check for check, _ in verdicts) == zero_phis > 0
 
 
 class TestSpectralData:

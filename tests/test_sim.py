@@ -67,6 +67,10 @@ class TestRealize:
         with pytest.raises(ValueError, match="not unitary"):
             realize(CircuitIR((), 0), np.diag([1.0, 0.5]))
 
+    def test_unknown_gate_rejected(self):
+        with pytest.raises(TypeError, match="unknown gate"):
+            realize(CircuitIR((AncillaRotation(0.1, 0.2, 0.3), "swap"), 0), np.eye(2))
+
     def test_non_square_operator_rejected(self):
         with pytest.raises(ValueError, match="square"):
             realize(CircuitIR((), 0), np.ones((2, 3)))
@@ -152,6 +156,19 @@ class TestAgainstDenseProduct:
                 np.max(np.abs(realize(circ, u, initial) - dense_realize(circ, u, initial)))
                 <= 1e-13
             )
+
+    @pytest.mark.parametrize("dim, cols", [(1, 1), (2, 1), (3, 2), (4, 9), (6, 5)])
+    def test_rectangular_initial(self, dim, cols):
+        rng = np.random.default_rng(10 * dim + cols)
+        u = random_unitary(dim, seed=200 + dim)
+        initial = rng.normal(size=(2 * dim, cols)) + 1j * rng.normal(size=(2 * dim, cols))
+        for _ in range(4):
+            circ = random_circuit(rng, 24)
+            expected = dense_realize(circ, u, initial)
+            for layout in (initial, np.asfortranarray(initial)):
+                w = realize(circ, u, layout)
+                assert w.shape == (2 * dim, cols)
+                assert np.max(np.abs(w - expected)) <= 1e-13
 
     def test_initial_with_wrong_row_count_rejected(self):
         with pytest.raises(ValueError, match="rows"):
