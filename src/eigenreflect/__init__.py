@@ -20,7 +20,6 @@ from .circuit import (
     adjoint,
     build_reflection,
     build_w,
-    compose,
     gate_counts,
     synthesize,
 )
@@ -55,7 +54,6 @@ from .poly import (
     GapSpec,
     ReflectionPlan,
     build_upsilon,
-    eval_at,
     eval_on_circle_grid,
     max_modulus_outside_gap,
     select_parameters,
@@ -92,9 +90,7 @@ __all__ = [
     "build_upsilon",
     "build_w",
     "completion_residual",
-    "compose",
     "decompose",
-    "eval_at",
     "eval_on_circle_grid",
     "exact_projector",
     "factorize",

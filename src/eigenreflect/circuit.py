@@ -30,7 +30,6 @@ __all__ = [
     "GateCounts",
     "build_w",
     "adjoint",
-    "compose",
     "build_reflection",
     "gate_counts",
     "predicted_counts",
@@ -122,14 +121,6 @@ def adjoint(c: CircuitIR) -> CircuitIR:
     return CircuitIR(tuple(inv), declared_degree=c.declared_degree)
 
 
-def compose(first: CircuitIR, second: CircuitIR) -> CircuitIR:
-    """Concatenation; `first` is applied before `second`."""
-    return CircuitIR(
-        first.gates + second.gates,
-        declared_degree=max(first.declared_degree, second.declared_degree),
-    )
-
-
 def build_reflection(
     plan: ReflectionPlan, branches: tuple[GQSPAngleSequence, GQSPAngleSequence]
 ) -> CircuitIR:
@@ -146,7 +137,8 @@ def build_reflection(
             f"plan degree {plan.degree}"
         )
     shift = plan.gap.theta
-    return compose(build_w(plus, shift), adjoint(build_w(minus, shift)))
+    gates = build_w(plus, shift).gates + adjoint(build_w(minus, shift)).gates
+    return CircuitIR(gates, declared_degree=plan.degree)
 
 
 def gate_counts(c: CircuitIR) -> GateCounts:
@@ -189,7 +181,7 @@ class Synthesis:
 def synthesize(
     gap: GapSpec, *, use_paper_t_formula: bool = False, completion_tol: float = 1e-10
 ) -> Synthesis:
-    """Plan (t, n), build the kernel, complete it, peel the plus branch, mirror it, compose.
+    """Plan (t, n), build and complete the kernel, peel and mirror the branches, build the circuit.
 
     Raises ValueError, before anything is built, when the plan's degree
     (t - 1) n exceeds MAX_DEGREE, and CompletionError when the

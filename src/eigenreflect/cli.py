@@ -471,7 +471,6 @@ def _option(
     return field(default=default, metadata=meta)
 
 
-_ALL = "plan synth verify sweep"
 _DIM_CAP = (f"at most {MAX_DIM}", lambda d: d <= MAX_DIM)
 _POSITIVE = ("at least 1", lambda n: n >= 1)
 _SEED_FLOOR = ("at least 0", lambda s: s >= 0)  # numpy's generators take no negative seed
@@ -488,20 +487,23 @@ class JobConfig:
     """
 
     command: str
-    delta: float | None = _option(_ALL, _real, "gap half-width, radians")
-    epsilon: float | None = _option(_ALL, _real, "error budget in (0,1)")
-    theta: float = _option(_ALL, _real, "target phase (default 0)", 0.0, ("finite", math.isfinite))
+    delta: float | None = _option("plan synth verify", _real, "gap half-width, radians")
+    epsilon: float | None = _option("plan synth verify", _real, "error budget in (0,1)")
+    theta: float = _option(
+        "plan synth verify sweep", _real, "target phase (default 0)", 0.0,
+        ("finite", math.isfinite),
+    )
     use_paper_t_formula: bool = _option(
-        _ALL, _switch, "use the literal published averaging length instead of the corrected one",
-        False,
+        "plan synth verify sweep", _switch,
+        "use the literal published averaging length instead of the corrected one", False,
     )
     oversample: int = _option(
-        _ALL, _integer, "grid oversampling factor", DEFAULT_OVERSAMPLE,
-        (f"at least {MIN_OVERSAMPLE}", lambda k: k >= MIN_OVERSAMPLE),
+        "verify", _integer, "grid oversampling factor, read only with --use-paper-t-formula",
+        DEFAULT_OVERSAMPLE, (f"at least {MIN_OVERSAMPLE}", lambda k: k >= MIN_OVERSAMPLE),
     )
     completion_tol: float = _option(
-        _ALL, _real, "max allowed completion residual (default 1e-10)", DEFAULT_COMPLETION_TOL,
-        ("finite and > 0", lambda x: math.isfinite(x) and x > 0),
+        "synth verify sweep", _real, "max allowed completion residual (default 1e-10)",
+        DEFAULT_COMPLETION_TOL, ("finite and > 0", lambda x: math.isfinite(x) and x > 0),
     )
     out: str | None = _option("plan verify", os.fspath, "output JSON path ('-' for stdout)")
     circuit_out: str | None = _option("synth", os.fspath, "circuit JSON path")
@@ -523,7 +525,11 @@ class JobConfig:
     csv_out: str | None = _option("sweep", os.fspath, "CSV path ('-' for stdout)")
 
     def __post_init__(self) -> None:
-        if self.command != "sweep" and (self.delta is None or self.epsilon is None):
+        if self.command == "sweep":
+            for name in ("deltas", "epsilons", "dims", "seeds"):
+                if not getattr(self, name):
+                    raise ValueError(f"sweep needs a nonempty --{name}")
+        elif self.delta is None or self.epsilon is None:
             raise ValueError("--delta and --epsilon are required")
         if self.command == "verify" and (self.matrix is None) == (self.dim is None):
             raise ValueError("verify needs exactly one of --matrix and --dim")
@@ -554,8 +560,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in _COMMANDS.items():
-        # a flag left out is absent from the namespace, so config-file values fill in
-        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        # a flag left out is absent from the namespace, so config-file values fill in;
+        # no prefix matching, which would read sweep's --delta as --deltas
+        p = sub.add_parser(
+            command, help=help_text, argument_default=argparse.SUPPRESS, allow_abbrev=False
+        )
         p.add_argument("--config", help="JSON file supplying defaults for any flag")
         for flag, f in _OPTIONS:
             if command in f.metadata["commands"]:

@@ -14,11 +14,10 @@ whose first column is (p(x), q(x)).  The rotation convention is
 Synthesis runs the product backwards, one degree per step.  The two
 leading coefficients fix the outermost rotation, their phases read as
 they are however small; undoing it and shifting the lower branch down
-drops the degree by one exactly.  Only when both sit below the
-tie-break tolerance (a pair padded above its true degree) is the step
-recovered from the trailing coefficients instead, chosen so the
-shifted-out constant vanishes; such steps are listed on the result and
-announced with a RuntimeWarning.
+drops the degree by one exactly.  A step whose two leading coefficients
+both sit at or below TOP_TOL (a pair padded above its true degree) is
+refused with a ValueError: the completion keeps the partner at full
+degree, so no pair the program builds is padded.
 
 One peel serves both branches of the reflection: Z . R(theta, phi, lam) . Z
 = R(-theta, phi, lam) for Z = diag(1, -1), and Z commutes with diag(1, x),
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,7 +45,7 @@ __all__ = [
     "branch_pair",
 ]
 
-TOP_TOL = 1e-13  # tie-break: leading coefficients below this count as absent
+TOP_TOL = 1e-13  # leading coefficients at or below this count as absent
 RESIDUAL_PRE_TOL = 1e-8
 
 ROTATION_CONVENTION = (
@@ -60,8 +58,8 @@ ROTATION_CONVENTION = (
 class GQSPAngleSequence:
     """Angles for one branch walk of degree len(thetas) - 1, in ROTATION_CONVENTION.
 
-    degenerate_steps records the step indices resolved by the trailing
-    -coefficient tie-break; empty for well-conditioned pairs.
+    degenerate_steps is always empty: synthesis refuses a step without
+    leading data.  It stays so that angles.json keeps its key.
     """
 
     thetas: tuple[float, ...]
@@ -102,19 +100,12 @@ def synthesize_angles(p: ComplexPolynomial, q: ComplexPolynomial) -> GQSPAngleSe
     qw[: q.degree + 1] = q.as_array()
     thetas = np.zeros(d + 1)
     phis = np.zeros(d + 1)
-    degenerate: list[int] = []
     for j in range(d, 0, -1):
         top_p, top_q = pw[j], qw[j]
         if abs(top_p) <= TOP_TOL and abs(top_q) <= TOP_TOL:
-            # padded step: no leading data, steer by the constants so the
-            # shifted-out constant below is zero and nothing is lost
-            degenerate.append(j)
-            bot_p, bot_q = pw[0], qw[0]
-            theta = math.atan2(abs(bot_q), abs(bot_p))
-            phi = cmath.phase(bot_p * bot_q.conjugate())
-        else:
-            theta = math.atan2(abs(top_p), abs(top_q))
-            phi = cmath.phase(-top_p * top_q.conjugate())
+            raise ValueError(f"synthesis step {j}: both leading coefficients are at most {TOP_TOL}")
+        theta = math.atan2(abs(top_p), abs(top_q))
+        phi = cmath.phase(-top_p * top_q.conjugate())
         thetas[j] = theta
         phis[j] = phi
         c, s = math.cos(theta), math.sin(theta)
@@ -127,19 +118,7 @@ def synthesize_angles(p: ComplexPolynomial, q: ComplexPolynomial) -> GQSPAngleSe
     # an exact zero has no phase: the -0j of a negated zero partner would read as pi
     lam = cmath.phase(qw[0]) if qw[0] != 0 else 0.0
     phis[0] = cmath.phase(pw[0]) - lam if pw[0] != 0 else 0.0
-    if degenerate:
-        warnings.warn(
-            f"{len(degenerate)} synthesis step(s) had no leading data and were "
-            "resolved from trailing coefficients",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return GQSPAngleSequence(
-        thetas=tuple(thetas),
-        phis=tuple(phis),
-        lambda_final=lam,
-        degenerate_steps=tuple(reversed(degenerate)),
-    )
+    return GQSPAngleSequence(thetas=tuple(thetas), phis=tuple(phis), lambda_final=lam)
 
 
 def reconstruct_polynomials(seq: GQSPAngleSequence) -> tuple[ComplexPolynomial, ComplexPolynomial]:

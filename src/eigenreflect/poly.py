@@ -25,7 +25,6 @@ __all__ = [
     "ReflectionPlan",
     "select_parameters",
     "build_upsilon",
-    "eval_at",
     "eval_on_circle_grid",
     "max_modulus_outside_gap",
 ]
@@ -103,10 +102,6 @@ class ReflectionPlan:
         return self.degree
 
     @property
-    def predicted_total_controlled(self) -> int:
-        return 2 * self.degree
-
-    @property
     def predicted_rotations(self) -> int:
         return 2 * (self.degree + 1)
 
@@ -146,11 +141,6 @@ def build_upsilon(t: int, n: int) -> ComplexPolynomial:
     for _ in range(n):
         out = np.convolve(out, kernel)
     return ComplexPolynomial(tuple(out))
-
-
-def eval_at(poly: ComplexPolynomial, z: complex) -> complex:
-    """Horner evaluation at a single point."""
-    return complex(npoly.polyval(complex(z), poly.as_array()))
 
 
 def eval_on_circle_grid(poly: ComplexPolynomial, m: int) -> np.ndarray:

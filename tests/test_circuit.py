@@ -13,7 +13,6 @@ from eigenreflect.circuit import (
     adjoint,
     build_reflection,
     build_w,
-    compose,
     gate_counts,
     predicted_counts,
     synthesize,
@@ -113,15 +112,6 @@ class TestAdjoint:
         assert counts == GateCounts(0, 9, 10)
 
 
-class TestCompose:
-    def test_concatenation_order(self):
-        a = CircuitIR((AncillaRotation(0.1, 0.0, 0.0),), 0)
-        b = CircuitIR((ControlledOracle(1),), 3)
-        ab = compose(a, b)
-        assert ab.gates == a.gates + b.gates
-        assert ab.declared_degree == 3
-
-
 class TestBuildReflection:
     def test_plan_example_counts(self):
         plan, branches = plan_branches(math.pi / 2, 0.1)
@@ -130,7 +120,7 @@ class TestBuildReflection:
         assert counts == GateCounts(9, 9, 20)
         assert counts.total == 38
         assert counts.controlled_u == plan.predicted_controlled_u_per_branch
-        assert counts.total == plan.predicted_total_controlled + plan.predicted_rotations
+        assert counts.total == 2 * plan.predicted_controlled_u_per_branch + plan.predicted_rotations
 
     def test_degree_zero_plan_uses_no_oracle_calls(self):
         plan, branches = plan_branches(math.pi / 2, 0.5, use_paper_t_formula=True)

@@ -223,14 +223,6 @@ class TestPlan:
         assert doc is None
         assert f"error: --theta must be finite, got {float(theta)!r}" in capsys.readouterr().err
 
-    def test_oversample_below_minimum_is_config_error(self, tmp_path, capsys):
-        code, doc = run_plan(
-            tmp_path, "--delta", "0.5", "--epsilon", "0.1", "--oversample", "2"
-        )
-        assert code == EXIT_CONFIG
-        assert doc is None
-        assert "error: --oversample must be at least 16, got 2" in capsys.readouterr().err
-
     def test_degree_above_the_synthesis_cap_still_plans(self, tmp_path):
         code, doc = run_plan(tmp_path, "--delta", "1e-6", "--epsilon", "0.01")
         assert code == EXIT_OK
@@ -620,6 +612,16 @@ class TestVerify:
         ])
         assert code == EXIT_CONFIG
 
+    def test_oversample_below_minimum_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main([
+            "verify", "--dim", "4", "--delta", "0.5", "--epsilon", "0.1",
+            "--use-paper-t-formula", "--oversample", "2", "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "error: --oversample must be at least 16, got 2" in capsys.readouterr().err
+
 
 class TestSweep:
     def run_sweep(self, tmp_path, name="sweep.csv", **grids):
@@ -650,16 +652,31 @@ class TestSweep:
             assert float(r["wall_time_ms"]) >= 0.0
             assert int(r["degree"]) == (int(r["t"]) - 1) * int(r["n"])
 
-    def test_empty_grid_emits_header_only(self, tmp_path):
-        code, rows, text = self.run_sweep(
-            tmp_path, deltas="", epsilons="0.1", dims="4", seeds="0"
-        )
-        assert code == EXIT_OK
-        assert rows == []
-        assert text.splitlines() == [
-            "delta,epsilon,dim,seed,t,n,degree,measured_error,bound,"
-            "satisfied,completion_residual,wall_time_ms"
-        ]
+    GRID = {"deltas": "0.5", "epsilons": "0.1", "dims": "4", "seeds": "0"}
+
+    @pytest.mark.parametrize("axis", list(GRID))
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_axis_is_refused(self, tmp_path, capsys, source, axis):
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--csv-out", str(out)]
+        for flag, value in self.GRID.items():
+            if flag != axis:
+                args += [f"--{flag}", value]
+        if source == "flag":
+            args += [f"--{axis}", ""]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({axis: []}))
+            args += ["--config", str(cfg)]
+        assert main(args) == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: sweep needs a nonempty --{axis}\n"
+
+    def test_bare_sweep_is_refused(self, capsys):
+        assert main(["sweep", "--csv-out", "-"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sweep needs a nonempty --deltas\n"
 
     def test_failed_row_exit_code(self, tmp_path, capsys):
         code, rows, text = self.run_sweep(
@@ -921,20 +938,46 @@ class TestParser:
         (subcommands,) = [
             a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
         ]
-        shared = {
-            "--config", "--delta", "--epsilon", "--theta", "--use-paper-t-formula",
-            "--oversample", "--completion-tol",
-        }
+        shared = {"--config", "--theta", "--use-paper-t-formula"}
+        gap = {"--delta", "--epsilon"}
         flags = {
             name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
             for name, p in subcommands.choices.items()
         }
         assert flags == {
-            "plan": shared | {"--out"},
-            "synth": shared | {"--circuit-out", "--angles-out"},
-            "verify": shared | {"--matrix", "--dim", "--multiplicity", "--seed", "--out"},
-            "sweep": shared | {"--deltas", "--epsilons", "--dims", "--seeds", "--csv-out"},
+            "plan": shared | gap | {"--out"},
+            "synth": shared | gap | {"--completion-tol", "--circuit-out", "--angles-out"},
+            "verify": shared | gap | {
+                "--oversample", "--completion-tol", "--matrix", "--dim", "--multiplicity",
+                "--seed", "--out",
+            },
+            "sweep": shared | {
+                "--completion-tol", "--deltas", "--epsilons", "--dims", "--seeds", "--csv-out",
+            },
         }
+        assert sum(map(len, flags.values())) == 35
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--delta", "0.5", "--epsilon", "0.1", "--oversample", "64"],
+            ["plan", "--delta", "0.5", "--epsilon", "0.1", "--completion-tol", "1e-8"],
+            ["synth", "--delta", "0.5", "--epsilon", "0.1", "--oversample", "64"],
+            ["sweep", "--delta", "1", "--epsilon", "0.1", "--dims", "4", "--seeds", "0",
+             "--csv-out", "-"],
+            ["sweep", "--deltas", "1", "--epsilons", "0.1", "--dims", "4", "--seeds", "0",
+             "--oversample", "64", "--csv-out", "-"],
+        ],
+        ids=["plan-oversample", "plan-completion-tol", "synth-oversample", "sweep-delta",
+             "sweep-oversample"],
+    )
+    def test_flag_the_subcommand_does_not_read_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
 
     def test_malformed_flag_is_config_error(self, capsys):
         assert main(["plan", "--delta", "abc", "--epsilon", "0.1"]) == EXIT_CONFIG

@@ -73,30 +73,21 @@ class TestSynthesizeAngles:
         with pytest.raises(ValueError):
             synthesize_angles(ComplexPolynomial((1.0,)), ComplexPolynomial((1.0,)))
 
-    def test_padded_pair_is_flagged_and_still_round_trips(self):
-        base = ComplexPolynomial((0.6, 0.3))
-        partner = factorize(gram_polynomial(base)).phi
-        # pad the top with a nonzero coefficient below the tie-break
-        # threshold, so the leading step has no data; the
-        # constant-stripping fallback then keeps the remaining content at
-        # the bottom, so every later step is flagged as well
-        p = ComplexPolynomial((0.6, 0.3, 5e-14))
-        with pytest.warns(RuntimeWarning):
-            seq = synthesize_angles(p, partner)
-        assert seq.degenerate_steps == (1, 2)
-        p2, q2 = reconstruct_polynomials(seq)
-        assert np.max(np.abs(padded(p2, 3) - padded(p, 3))) <= 1e-9
-        assert np.max(np.abs(padded(q2, 3) - padded(partner, 3))) <= 1e-9
-
-    def test_doubly_padded_pair_survives(self):
-        p = ComplexPolynomial((0.6, 0.0, 5e-14))
-        q = ComplexPolynomial((0.8j,))
-        with pytest.warns(RuntimeWarning):
-            seq = synthesize_angles(p, q)
-        assert 2 in seq.degenerate_steps
-        p2, q2 = reconstruct_polynomials(seq)
-        assert np.max(np.abs(padded(p2, 3) - padded(p, 3))) <= 1e-9
-        assert np.max(np.abs(padded(q2, 3) - padded(q, 3))) <= 1e-9
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            # a top coefficient below TOP_TOL over a degree-1 partner
+            (
+                ComplexPolynomial((0.6, 0.3, 5e-14)),
+                factorize(gram_polynomial(ComplexPolynomial((0.6, 0.3)))).phi,
+            ),
+            (ComplexPolynomial((0.6, 0.0, 5e-14)), ComplexPolynomial((0.8j,))),
+        ],
+        ids=["padded", "doubly-padded"],
+    )
+    def test_padded_pair_is_refused(self, p, q):
+        with pytest.raises(ValueError, match="synthesis step 2: both leading coefficients"):
+            synthesize_angles(p, q)
 
     @given(degree=st.integers(1, 30), seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)

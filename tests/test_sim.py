@@ -12,7 +12,6 @@ from eigenreflect.circuit import (
     adjoint,
     build_reflection,
     build_w,
-    compose,
     synthesize,
 )
 from eigenreflect.completion import factorize, gram_polynomial
@@ -79,7 +78,7 @@ class TestRealize:
         u = random_unitary(4, seed=5)
         a = build_w_branches(2, 1)[0]
         b = adjoint(a)
-        left = realize(compose(a, b), u)
+        left = realize(CircuitIR(a.gates + b.gates, a.declared_degree), u)
         right = realize(b, u) @ realize(a, u)
         assert np.allclose(left, right, atol=1e-13)
 
@@ -93,13 +92,13 @@ class TestRealize:
     def test_circuit_times_adjoint_is_identity(self):
         u = random_unitary(8, seed=7)
         circ = build_w_branches(4, 3)[0]
-        w = realize(compose(circ, adjoint(circ)), u)
+        w = realize(CircuitIR(circ.gates + adjoint(circ).gates, circ.declared_degree), u)
         assert spectral_norm(w - np.eye(16)) <= 1e-11
 
     def test_tail_from_head_equals_whole_circuit(self):
         u = random_unitary(4, seed=9)
         plus, minus = build_w_branches(3, 2, phase_shift=0.4)
-        whole = compose(plus, adjoint(minus))
+        whole = CircuitIR(plus.gates + adjoint(minus).gates, plus.declared_degree)
         head = realize(plus, u)
         tail = CircuitIR(whole.gates[len(plus.gates):], whole.declared_degree)
         assert np.array_equal(realize(tail, u, initial=head), realize(whole, u))
