@@ -344,12 +344,11 @@ def cmd_verify(cfg: JobConfig) -> int:
     )
     report = verify_reflection(u, syn)
     payload = _report_payload(report, _formula_name(cfg.use_paper_t_formula))
-    if cfg.use_paper_t_formula:
-        # discrepancy experiment: record the kernel quality under both
-        # parameter choices side by side
+    if cfg.use_paper_t_formula:  # the discrepancy experiment: both kernels side by side
+        oversample = cfg.oversample or DEFAULT_OVERSAMPLE
         payload["t_formula_comparison"] = {
-            "corrected": _kernel_summary(gap, False, cfg.oversample),
-            "paper": _kernel_summary(gap, True, cfg.oversample),
+            "corrected": _kernel_summary(gap, False, oversample),
+            "paper": _kernel_summary(gap, True, oversample),
         }
     _emit(cfg.out, _render_json(payload) + "\n")
     return EXIT_OK if report.bound_satisfied else EXIT_BOUND_VIOLATED
@@ -497,9 +496,9 @@ class JobConfig:
         "plan synth verify sweep", _switch,
         "use the literal published averaging length instead of the corrected one", False,
     )
-    oversample: int = _option(
-        "verify", _integer, "grid oversampling factor, read only with --use-paper-t-formula",
-        DEFAULT_OVERSAMPLE, (f"at least {MIN_OVERSAMPLE}", lambda k: k >= MIN_OVERSAMPLE),
+    oversample: int | None = _option(
+        "verify", _integer, f"grid oversampling factor (default {DEFAULT_OVERSAMPLE})",
+        None, (f"at least {MIN_OVERSAMPLE}", lambda k: k >= MIN_OVERSAMPLE),
     )
     completion_tol: float = _option(
         "synth verify sweep", _real, "max allowed completion residual (default 1e-10)",
@@ -531,6 +530,8 @@ class JobConfig:
                     raise ValueError(f"sweep needs a nonempty --{name}")
         elif self.delta is None or self.epsilon is None:
             raise ValueError("--delta and --epsilon are required")
+        if self.command == "verify" and self.oversample and not self.use_paper_t_formula:
+            raise ValueError("--oversample applies only with --use-paper-t-formula")
         if self.command == "verify" and (self.matrix is None) == (self.dim is None):
             raise ValueError("verify needs exactly one of --matrix and --dim")
         if self.command == "verify" and self.matrix is not None:

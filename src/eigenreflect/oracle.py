@@ -29,7 +29,6 @@ from .sim import (
     UNITARY_TOL,
     _apply_gates,
     _gram_defect,
-    _mirrored_composite,
     _require_unitary,
     pue_block,
     spectral_norm,
@@ -51,6 +50,7 @@ __all__ = [
 PHASE_MATCH_TOL = 1e-9  # angular distance under which a phase counts as the target
 _BOUND_SLACK = 1e-8
 _CUT_TOL = 1e-12  # phases this close to -pi are reported as pi
+_U = np.finfo(float).eps / 2  # unit roundoff
 
 
 class GapViolation(Exception):
@@ -85,6 +85,7 @@ class SpectralData:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """`unitarity_residual` is measured if W is formed, else a bound certified from W+'s."""
     measured_error: float
     bound: float
     bound_satisfied: bool
@@ -231,17 +232,22 @@ def _mirrors(tail: tuple[Gate, ...], head: tuple[Gate, ...]) -> bool:
 def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport:
     """Full verdict on a synthesized circuit against the ideal reflection.
 
-    The plus branch walk W+ that opens the circuit is realized gate by
-    gate.  When the tail is its Z-mirror's adjoint gate for gate, as
-    every synthesized tail is, the composite is W = (Z W+ Z)^dagger W+,
-    one product; any other tail is realized gate by gate from W+.  The
-    composite block is compared with the reflection through the exact
-    target eigenspace, and the plus branch block with the kernel applied
-    spectrally at phases shifted by theta, so both verdicts rest on the
-    eigendecomposition, not on the angles.  `decompose` places its pole
-    by the plan's gap promise and checks that u is unitary; the
-    realization reuses that check.  The completion residual is the one
-    `factorize` measured and checked against the completion tolerance.
+    `decompose` checks u unitary, which the realization relies on.  Only
+    the plus branch walk W+ opening the circuit is realized, gate by gate.
+    Its block is compared with the kernel applied spectrally at phases
+    shifted by theta, the composite's with the reflection through the
+    exact target eigenspace: both verdicts rest on the eigenbasis, not on
+    the angles.  A tail other than W+'s Z-mirror's adjoint is realized from
+    W+ and measured.  A synthesized tail is that adjoint, so the top block
+    of W = (Z W+ Z)^dagger W+ is A^dagger A - B^dagger B for W+'s first
+    block column [A; B], Hermitian, and `measured_error` is an `eigvalsh`.
+    W^dagger W - I = W+^dagger (M M^dagger - I) W+ + W+^dagger W+ - I for
+    M = Z W+ Z, so `unitarity_residual` is the certified bound eta (2 + eta)
+    with eta = ||W+^dagger W+ - I|| <= eta^ + n gamma_{n+2} (1 + eta^) for
+    eta^ computed, n = 2 dim, gamma_k = k u / (1 - k u), u = 2^-53, to first
+    order: a complex Gram product errs by at most gamma_{n+2} |W+|^T |W+|
+    entrywise (Higham, Accuracy and Stability of Numerical Algorithms,
+    3.5-3.6), of norm <= ||W+||_F^2 <= n (1 + eta); `eigvalsh` adds O(n u eta^).
     """
     plan = synthesis.plan
     gap = plan.gap
@@ -253,15 +259,20 @@ def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport
     split = 2 * plan.degree + 1  # gates of the plus branch walk
     head, tail = synthesis.circuit.gates[:split], synthesis.circuit.gates[split:]
     w_plus = _apply_gates(CircuitIR(head, plan.degree), u)
+    branch_unitarity = _gram_defect(w_plus)
     if _mirrors(tail, head):
-        w = _mirrored_composite(w_plus)
+        a, b = w_plus[: s.dim, : s.dim], w_plus[s.dim :, : s.dim]
+        top = a.conj().T @ a - b.conj().T @ b - ideal
+        measured = float(np.abs(np.linalg.eigvalsh(top)).max())
+        n = 2 * s.dim
+        eta = branch_unitarity + n * (n + 2) * _U / (1 - (n + 2) * _U) * (1 + branch_unitarity)
+        unitarity = eta * (2.0 + eta)
     else:
         w = _apply_gates(CircuitIR(tail, plan.degree), u, initial=w_plus)
-    measured = spectral_norm(pue_block(w) - ideal)
+        measured = spectral_norm(pue_block(w) - ideal)
+        unitarity = _gram_defect(w)
     bound = 4.0 * gap.epsilon
-    unitarity = _gram_defect(w)
 
-    branch_unitarity = _gram_defect(w_plus)
     shifted = replace(s, eigenphases=s.eigenphases - gap.theta)
     block_vs_oracle = spectral_norm(pue_block(w_plus) - apply_poly(shifted, synthesis.kernel))
 

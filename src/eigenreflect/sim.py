@@ -17,6 +17,8 @@ dim x cols, by its body in place, one dim x dim by dim x cols product.
 U is used only through such products, never diagonalized: the
 eigenbasis belongs to the oracle path (`oracle.decompose`), and the
 circuit check must not lean on the computation it is compared with.
+A synthesized reflection's composite is never multiplied out: verify
+reads it off the plus walk's blocks (`oracle.verify_reflection`).
 Written for desk-scale verification, system dims up to 1024 (the CLI's
 MAX_DIM).
 """
@@ -92,21 +94,6 @@ def _apply_gates(c: CircuitIR, u: np.ndarray, initial: np.ndarray | None = None)
             bottom = rows[1].reshape(dim, cols)
             bottom[...] = step @ bottom
     return rows.reshape(2 * dim, cols)
-
-
-def _mirrored_composite(w_plus: np.ndarray) -> np.ndarray:
-    """W = (Z W+ Z)^dagger W+, Z = diag(1, -1) on the ancilla.
-
-    The realization of a walk followed by the adjoint of its Z-mirror,
-    which is the walk with every rotation theta negated.  Conjugating
-    by Z negates the two off-diagonal ancilla blocks; the conjugate copy
-    lives only here, so no extra (2 dim)^2 array outlives the product.
-    """
-    h = w_plus.shape[0] // 2
-    m = w_plus.conj()
-    m[:h, h:] *= -1
-    m[h:, :h] *= -1
-    return m.T @ w_plus
 
 
 def pue_block(w: np.ndarray) -> np.ndarray:

@@ -622,6 +622,36 @@ class TestVerify:
         assert not out.exists()
         assert "error: --oversample must be at least 16, got 2" in capsys.readouterr().err
 
+    def test_oversample_without_published_formula_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        args = ["verify", "--dim", "4", "--delta", "1", "--epsilon", "0.1", "--out", str(out)]
+        assert main(args + ["--oversample", "64"]) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: --oversample applies only with --use-paper-t-formula\n"
+        assert main(args + ["--oversample", "64", "--use-paper-t-formula"]) != EXIT_CONFIG
+        assert "t_formula_comparison" in json.loads(out.read_text())
+
+    def test_oversample_key_without_published_formula_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "report.json"
+        cfg.write_text(json.dumps({"delta": 1.0, "epsilon": 0.1, "dim": 4, "oversample": 32}))
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: --oversample applies only with --use-paper-t-formula\n"
+        assert main(["verify", "--config", str(cfg), "--use-paper-t-formula"]) != EXIT_CONFIG
+
+    def test_oversample_defaults_with_published_formula(self, tmp_path):
+        reports = []
+        for extra in ([], ["--oversample", str(cli.DEFAULT_OVERSAMPLE)]):
+            out = tmp_path / f"report{len(reports)}.json"
+            args = ["verify", "--dim", "4", "--delta", PI_HALF, "--epsilon", "0.001"]
+            code = main(args + ["--use-paper-t-formula", "--out", str(out)] + extra)
+            assert code == EXIT_BOUND_VIOLATED
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestSweep:
     def run_sweep(self, tmp_path, name="sweep.csv", **grids):

@@ -33,7 +33,7 @@ from eigenreflect.poly import (
     max_modulus_outside_gap,
     select_parameters,
 )
-from eigenreflect.sim import realize, spectral_norm
+from eigenreflect.sim import pue_block, realize, spectral_norm
 from eigenreflect.testgen import SpectrumSpec, random_gapped_unitary
 
 
@@ -476,20 +476,38 @@ MIRROR_RECORDS = [(math.pi / 2, 1e-3, 21), (math.pi / 4, 1e-2, 35), (math.pi / 1
 
 
 class TestMirroredComposite:
-    """verify forms W from the plus walk when the tail is its mirror's adjoint."""
+    """verify reads the composite off the plus walk when the tail is its mirror's adjoint."""
+
+    THETA = 0.6
+
+    @classmethod
+    def instance(cls, delta, epsilon, degree, dim):
+        syn = synthesize(GapSpec(delta, theta=cls.THETA, epsilon=epsilon))
+        assert syn.plan.degree == degree
+        u = random_gapped_unitary(SpectrumSpec(dim=dim, delta=delta, theta=cls.THETA, seed=dim))
+        split = 2 * degree + 1
+        assert oracle._mirrors(syn.circuit.gates[split:], syn.circuit.gates[:split])
+        return syn, u
 
     @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_RECORDS)
     @pytest.mark.parametrize("dim", [8, 64])
     def test_matches_the_gate_by_gate_realization(self, delta, epsilon, degree, dim):
-        theta = 0.6
-        syn = synthesize(GapSpec(delta, theta=theta, epsilon=epsilon))
-        assert syn.plan.degree == degree
-        u = random_gapped_unitary(SpectrumSpec(dim=dim, delta=delta, theta=theta, seed=dim))
-        split = 2 * degree + 1
-        head, tail = syn.circuit.gates[:split], syn.circuit.gates[split:]
-        assert oracle._mirrors(tail, head)
-        mirrored = sim._mirrored_composite(realize(CircuitIR(head, degree), u))
-        assert spectral_norm(mirrored - realize(syn.circuit, u)) <= 1e-12
+        # measured_error from W+'s blocks against the composite multiplied out gate by gate
+        syn, u = self.instance(delta, epsilon, degree, dim)
+        s = decompose(u, gap=syn.plan.gap)
+        ideal = 2.0 * exact_projector(s, self.THETA) - np.eye(dim)
+        gate_by_gate = spectral_norm(pue_block(realize(syn.circuit, u)) - ideal)
+        assert abs(verify_reflection(u, syn).measured_error - gate_by_gate) <= 1e-14
+
+    @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_RECORDS)
+    @pytest.mark.parametrize("dim", [8, 32, 128, 256])
+    def test_certified_unitarity_bounds_the_formed_composite(self, delta, epsilon, degree, dim):
+        syn, u = self.instance(delta, epsilon, degree, dim)
+        report = verify_reflection(u, syn)
+        formed = sim._gram_defect(realize(syn.circuit, u))
+        assert formed <= report.unitarity_residual <= 1e-10  # criterion 7's composite threshold
+        eta = report.branch_unitarity_residual
+        assert report.unitarity_residual >= eta * (2.0 + eta)
 
     @staticmethod
     def spy_on_walks(monkeypatch):
@@ -508,6 +526,26 @@ class TestMirroredComposite:
         assert verify_reflection(u, syn).bound_satisfied
         assert [len(c.gates) for c in walks] == [2 * degree + 1]
 
+    @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_RECORDS)
+    def test_no_composite_gram_and_two_svds(self, monkeypatch, delta, epsilon, degree):
+        dim = 16
+        syn, u = self.instance(delta, epsilon, degree, dim)
+        calls = {"_gram_defect": [], "spectral_norm": []}
+        for name, seen in calls.items():
+
+            def spy(a, real=getattr(oracle, name), seen=seen):
+                seen.append(a)
+                return real(a)
+
+            monkeypatch.setattr(oracle, name, spy)
+        verify_reflection(u, syn)
+        w_plus = realize(CircuitIR(syn.circuit.gates[: 2 * degree + 1], degree), u)
+        # only W+'s Gram (u's own unitarity check runs inside sim)
+        [gram] = calls["_gram_defect"]
+        assert np.array_equal(gram, w_plus)
+        # decompose's reconstruction residual and the oracle block residual
+        assert [a.shape for a in calls["spectral_norm"]] == [(dim, dim), (dim, dim)]
+
     def test_an_edited_tail_is_realized_gate_by_gate(self, monkeypatch):
         gap = GapSpec(math.pi / 2, epsilon=1e-2)
         syn = synthesize(gap)
@@ -522,6 +560,23 @@ class TestMirroredComposite:
         assert good_report.measured_error <= 1e-5
         assert bad_report.measured_error > 1e-3
         assert bad_report.oracle_block_residual == good_report.oracle_block_residual
+
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_a_slightly_edited_tail_reports_its_measured_defect(self, dim):
+        # one theta moved by 1e-12 fails the mirror check: the composite is
+        # multiplied out and its Gram defect measured, not bounded
+        syn, u = self.instance(*MIRROR_RECORDS[1], dim)
+        split = 2 * syn.plan.degree + 1
+        gates = list(syn.circuit.gates)
+        gates[split + 2] = replace(gates[split + 2], theta=gates[split + 2].theta + 1e-12)
+        head, tail = CircuitIR(tuple(gates[:split]), 0), CircuitIR(tuple(gates[split:]), 0)
+        bad = replace(syn, circuit=replace(syn.circuit, gates=tuple(gates)))
+        assert not oracle._mirrors(tail.gates, head.gates)
+        w = realize(tail, u, initial=realize(head, u))
+        report = verify_reflection(u, bad)
+        assert report.unitarity_residual == sim._gram_defect(w)
+        ideal = 2.0 * exact_projector(decompose(u, gap=syn.plan.gap), self.THETA) - np.eye(dim)
+        assert report.measured_error == spectral_norm(pue_block(w) - ideal)
 
 
 def reference_mirror(head):
