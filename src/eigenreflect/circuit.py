@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .completion import CompletionResult, factorize, gram_polynomial
+from .completion import DEFAULT_COMPLETION_TOL, CompletionResult, factorize, gram_polynomial
 from .gqsp import GQSPAngleSequence, branch_pair
 from .poly import ComplexPolynomial, GapSpec, ReflectionPlan, build_upsilon, select_parameters
 
@@ -179,7 +179,8 @@ class Synthesis:
 
 
 def synthesize(
-    gap: GapSpec, *, use_paper_t_formula: bool = False, completion_tol: float = 1e-10
+    gap: GapSpec, *, use_paper_t_formula: bool = False,
+    completion_tol: float = DEFAULT_COMPLETION_TOL,
 ) -> Synthesis:
     """Plan (t, n), build and complete the kernel, peel and mirror the branches, build the circuit.
 

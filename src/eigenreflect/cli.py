@@ -41,12 +41,10 @@ from .circuit import (
     predicted_counts,
     synthesize,
 )
-from .completion import CompletionError
+from .completion import DEFAULT_COMPLETION_TOL, CompletionError
 from .gqsp import ROTATION_CONVENTION, GQSPAngleSequence
 from .oracle import GapViolation, TargetAbsent, VerificationReport, verify_reflection
 from .poly import (
-    DEFAULT_OVERSAMPLE,
-    MIN_OVERSAMPLE,
     GapSpec,
     ReflectionPlan,
     build_upsilon,
@@ -81,7 +79,6 @@ EXIT_GAP_VIOLATION = 4
 EXIT_TARGET_ABSENT = 5
 EXIT_SWEEP_ROWS_FAILED = 6
 
-DEFAULT_COMPLETION_TOL = 1e-10
 # cap on a generated dimension: verify holds several (2 dim)^2 matrices, 67 MB each
 MAX_DIM = 1024
 
@@ -295,10 +292,10 @@ def _report_payload(report: VerificationReport, t_formula: str) -> dict[str, Any
     }
 
 
-def _kernel_summary(gap: GapSpec, use_paper: bool, oversample: int) -> dict[str, Any]:
+def _kernel_summary(gap: GapSpec, use_paper: bool) -> dict[str, Any]:
     plan = select_parameters(gap, use_paper_t_formula=use_paper)
     upsilon = build_upsilon(plan.t, plan.n)
-    peak = max_modulus_outside_gap(upsilon, gap.delta, oversample=oversample)
+    peak = max_modulus_outside_gap(upsilon, gap.delta)
     return {
         "t": plan.t,
         "n": plan.n,
@@ -345,10 +342,9 @@ def cmd_verify(cfg: JobConfig) -> int:
     report = verify_reflection(u, syn)
     payload = _report_payload(report, _formula_name(cfg.use_paper_t_formula))
     if cfg.use_paper_t_formula:  # the discrepancy experiment: both kernels side by side
-        oversample = cfg.oversample or DEFAULT_OVERSAMPLE
         payload["t_formula_comparison"] = {
-            "corrected": _kernel_summary(gap, False, oversample),
-            "paper": _kernel_summary(gap, True, oversample),
+            "corrected": _kernel_summary(gap, False),
+            "paper": _kernel_summary(gap, True),
         }
     _emit(cfg.out, _render_json(payload) + "\n")
     return EXIT_OK if report.bound_satisfied else EXIT_BOUND_VIOLATED
@@ -496,12 +492,9 @@ class JobConfig:
         "plan synth verify sweep", _switch,
         "use the literal published averaging length instead of the corrected one", False,
     )
-    oversample: int | None = _option(
-        "verify", _integer, f"grid oversampling factor (default {DEFAULT_OVERSAMPLE})",
-        None, (f"at least {MIN_OVERSAMPLE}", lambda k: k >= MIN_OVERSAMPLE),
-    )
     completion_tol: float = _option(
-        "synth verify sweep", _real, "max allowed completion residual (default 1e-10)",
+        "synth verify sweep", _real,
+        f"max allowed completion residual (default {DEFAULT_COMPLETION_TOL:g})",
         DEFAULT_COMPLETION_TOL, ("finite and > 0", lambda x: math.isfinite(x) and x > 0),
     )
     out: str | None = _option("plan verify", os.fspath, "output JSON path ('-' for stdout)")
@@ -528,10 +521,11 @@ class JobConfig:
             for name in ("deltas", "epsilons", "dims", "seeds"):
                 if not getattr(self, name):
                     raise ValueError(f"sweep needs a nonempty --{name}")
+            for delta in self.deltas:  # a bad grid value fails here, not in its rows
+                for epsilon in self.epsilons:
+                    GapSpec(delta=delta, epsilon=epsilon, theta=self.theta)
         elif self.delta is None or self.epsilon is None:
             raise ValueError("--delta and --epsilon are required")
-        if self.command == "verify" and self.oversample and not self.use_paper_t_formula:
-            raise ValueError("--oversample applies only with --use-paper-t-formula")
         if self.command == "verify" and (self.matrix is None) == (self.dim is None):
             raise ValueError("verify needs exactly one of --matrix and --dim")
         if self.command == "verify" and self.matrix is not None:

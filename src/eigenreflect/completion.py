@@ -38,6 +38,7 @@ __all__ = [
     "completion_residual",
 ]
 
+DEFAULT_COMPLETION_TOL = 1e-10  # max certified residual a completion may reach
 _HERMITIAN_TOL = 1e-13
 _NONNEG_TOL = 1e-9
 _ZERO_AT_ONE_TOL = 1e-12  # |defect(1)| below this, relative to max |coeff|
@@ -113,7 +114,7 @@ def gram_polynomial(upsilon: ComplexPolynomial) -> TrigPolynomial:
     return trig
 
 
-def factorize(gram: TrigPolynomial, tol: float = 1e-10) -> CompletionResult:
+def factorize(gram: TrigPolynomial, tol: float = DEFAULT_COMPLETION_TOL) -> CompletionResult:
     """Polynomial of degree gram.order whose squared circle modulus is gram.
 
     The leading coefficient is rotated to be real and nonnegative, which

@@ -85,7 +85,7 @@ class SpectralData:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """`unitarity_residual` is measured if W is formed, else a bound certified from W+'s."""
+    """`unitarity_residual` is the composite's Gram defect bound, certified from W+'s."""
     measured_error: float
     bound: float
     bound_satisfied: bool
@@ -232,15 +232,16 @@ def _mirrors(tail: tuple[Gate, ...], head: tuple[Gate, ...]) -> bool:
 def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport:
     """Full verdict on a synthesized circuit against the ideal reflection.
 
-    `decompose` checks u unitary, which the realization relies on.  Only
-    the plus branch walk W+ opening the circuit is realized, gate by gate.
+    The circuit's tail must be the adjoint of its plus walk W+'s Z-mirror,
+    as `synthesize` builds it; any other tail raises ValueError before u
+    is decomposed or any gate applied.  `decompose` checks u unitary,
+    which the realization relies on.  Only W+ is realized, gate by gate.
     Its block is compared with the kernel applied spectrally at phases
     shifted by theta, the composite's with the reflection through the
     exact target eigenspace: both verdicts rest on the eigenbasis, not on
-    the angles.  A tail other than W+'s Z-mirror's adjoint is realized from
-    W+ and measured.  A synthesized tail is that adjoint, so the top block
-    of W = (Z W+ Z)^dagger W+ is A^dagger A - B^dagger B for W+'s first
-    block column [A; B], Hermitian, and `measured_error` is an `eigvalsh`.
+    the angles.  The top block of W = (Z W+ Z)^dagger W+ is
+    A^dagger A - B^dagger B for W+'s first block column [A; B], Hermitian,
+    and `measured_error` is an `eigvalsh`.
     W^dagger W - I = W+^dagger (M M^dagger - I) W+ + W+^dagger W+ - I for
     M = Z W+ Z, so `unitarity_residual` is the certified bound eta (2 + eta)
     with eta = ||W+^dagger W+ - I|| <= eta^ + n gamma_{n+2} (1 + eta^) for
@@ -251,26 +252,23 @@ def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport
     """
     plan = synthesis.plan
     gap = plan.gap
+    split = 2 * plan.degree + 1  # gates of the plus branch walk
+    head, tail = synthesis.circuit.gates[:split], synthesis.circuit.gates[split:]
+    if not _mirrors(tail, head):
+        raise ValueError("the circuit's tail is not the adjoint of its plus walk's Z-mirror")
     s = decompose(u, gap=gap)
     multiplicity = validate_gap(s, gap)
     ideal = 2.0 * exact_projector(s, gap.theta) - np.eye(s.dim)
 
     u = np.asarray(u, dtype=complex)
-    split = 2 * plan.degree + 1  # gates of the plus branch walk
-    head, tail = synthesis.circuit.gates[:split], synthesis.circuit.gates[split:]
     w_plus = _apply_gates(CircuitIR(head, plan.degree), u)
     branch_unitarity = _gram_defect(w_plus)
-    if _mirrors(tail, head):
-        a, b = w_plus[: s.dim, : s.dim], w_plus[s.dim :, : s.dim]
-        top = a.conj().T @ a - b.conj().T @ b - ideal
-        measured = float(np.abs(np.linalg.eigvalsh(top)).max())
-        n = 2 * s.dim
-        eta = branch_unitarity + n * (n + 2) * _U / (1 - (n + 2) * _U) * (1 + branch_unitarity)
-        unitarity = eta * (2.0 + eta)
-    else:
-        w = _apply_gates(CircuitIR(tail, plan.degree), u, initial=w_plus)
-        measured = spectral_norm(pue_block(w) - ideal)
-        unitarity = _gram_defect(w)
+    a, b = w_plus[: s.dim, : s.dim], w_plus[s.dim :, : s.dim]
+    top = a.conj().T @ a - b.conj().T @ b - ideal
+    measured = float(np.abs(np.linalg.eigvalsh(top)).max())
+    n = 2 * s.dim
+    eta = branch_unitarity + n * (n + 2) * _U / (1 - (n + 2) * _U) * (1 + branch_unitarity)
+    unitarity = eta * (2.0 + eta)
     bound = 4.0 * gap.epsilon
 
     shifted = replace(s, eigenphases=s.eigenphases - gap.theta)

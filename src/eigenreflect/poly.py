@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-DEFAULT_OVERSAMPLE = 32
-MIN_OVERSAMPLE = 16
+OVERSAMPLE = 32  # grid points per degree + 1 in `max_modulus_outside_gap`
 
 __all__ = [
     "ComplexPolynomial",
@@ -154,20 +153,16 @@ def eval_on_circle_grid(poly: ComplexPolynomial, m: int) -> np.ndarray:
     return m * np.fft.ifft(poly.as_array(), m)
 
 
-def max_modulus_outside_gap(
-    poly: ComplexPolynomial, delta: float, oversample: int = DEFAULT_OVERSAMPLE
-) -> float:
+def max_modulus_outside_gap(poly: ComplexPolynomial, delta: float) -> float:
     """Grid estimate of max |poly(e^{i lam})| over delta <= |lam| <= pi.
 
-    Samples oversample * (degree + 1) points per arc, endpoints
+    Samples OVERSAMPLE * (degree + 1) points per arc, endpoints
     included, so the delta and pi boundaries are always hit.  This is a
     dense-grid estimate of the supremum, not a certified bound.
     """
-    if oversample < MIN_OVERSAMPLE:
-        raise ValueError(f"oversample must be at least {MIN_OVERSAMPLE}")
     if not 0.0 < delta <= math.pi:
         raise ValueError(f"delta must lie in (0, pi], got {delta!r}")
-    npts = oversample * (poly.degree + 1)
+    npts = OVERSAMPLE * (poly.degree + 1)
     lam = np.linspace(delta, math.pi, npts)
     c = poly.as_array()
     upper = npoly.polyval(np.exp(1j * lam), c)

@@ -9,16 +9,16 @@ ancilla is |1>, matching the shift convention of the angle synthesis.
 `realize` reads the circuit once, building every rotation's 2 x 2
 matrix into one stacked array and each oracle body, exp(-i phase_shift)
 U or its adjoint, once per (exponent, phase_shift).  It keeps the
-running product (2 dim x cols, cols = 2 dim by default) as one
-2 x (dim cols) array: the row blocks of ancilla bra <0| and <1|, each
-read flat, stacked.  A rotation is one 2 x 2 product over the stacked
-rows, O(dim cols); an oracle gate multiplies the <1| block, viewed as
-dim x cols, by its body in place, one dim x dim by dim x cols product.
+running product, which starts from the identity, as one 2 x (2 dim^2)
+array: the row blocks of ancilla bra <0| and <1|, each read flat,
+stacked.  A rotation is one 2 x 2 product over the stacked rows,
+O(dim^2); an oracle gate multiplies the <1| block, viewed as
+dim x 2 dim, by its body in place, one dim x dim by dim x 2 dim product.
 U is used only through such products, never diagonalized: the
 eigenbasis belongs to the oracle path (`oracle.decompose`), and the
 circuit check must not lean on the computation it is compared with.
-A synthesized reflection's composite is never multiplied out: verify
-reads it off the plus walk's blocks (`oracle.verify_reflection`).
+Verify never multiplies a reflection's composite out: it reads it off
+the plus walk's blocks (`oracle.verify_reflection`).
 Written for desk-scale verification, system dims up to 1024 (the CLI's
 MAX_DIM).
 """
@@ -46,28 +46,19 @@ def _require_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def realize(c: CircuitIR, u: np.ndarray, initial: np.ndarray | None = None) -> np.ndarray:
+def realize(c: CircuitIR, u: np.ndarray) -> np.ndarray:
     """Multiply out a circuit on ancilla-plus-system space.
 
     Gates listed first act first, so the returned matrix is the product
-    of the gate matrices in reverse list order, times `initial` (the
-    identity by default) on the right.  Realizing a circuit's tail from
-    the realization of its head gives the whole circuit's product.
+    of the gate matrices in reverse list order.
     """
-    return _apply_gates(c, _require_unitary(u), initial)
+    return _apply_gates(c, _require_unitary(u))
 
 
-def _apply_gates(c: CircuitIR, u: np.ndarray, initial: np.ndarray | None = None) -> np.ndarray:
+def _apply_gates(c: CircuitIR, u: np.ndarray) -> np.ndarray:
     """`realize` for a u already checked unitary (a complex ndarray)."""
     dim = u.shape[0]
-    if initial is None:
-        rows = np.eye(2 * dim, dtype=complex)
-    else:
-        rows = np.array(initial, dtype=complex, order="C")  # a copy: oracle steps write into it
-        if rows.ndim != 2 or rows.shape[0] != 2 * dim:
-            raise ValueError(f"initial must have {2 * dim} rows, got shape {rows.shape}")
-    cols = rows.shape[1]
-    rows = rows.reshape(2, dim * cols)  # the ancilla bra <0| and <1| row blocks, each flat
+    rows = np.eye(2 * dim, dtype=complex).reshape(2, 2 * dim * dim)  # <0| and <1| blocks, flat
     angles: list[tuple[float, float, float]] = []
     steps: list[int | np.ndarray] = []  # a rotation's index in `angles`, or an oracle body
     bodies: dict[tuple[int, float], np.ndarray] = {}
@@ -91,9 +82,9 @@ def _apply_gates(c: CircuitIR, u: np.ndarray, initial: np.ndarray | None = None)
         if isinstance(step, int):
             rows = mats[step] @ rows
         else:
-            bottom = rows[1].reshape(dim, cols)
+            bottom = rows[1].reshape(dim, 2 * dim)
             bottom[...] = step @ bottom
-    return rows.reshape(2 * dim, cols)
+    return rows.reshape(2 * dim, 2 * dim)
 
 
 def pue_block(w: np.ndarray) -> np.ndarray:

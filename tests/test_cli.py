@@ -123,8 +123,8 @@ class TestRendering:
         u = random_gapped_unitary(SpectrumSpec(dim=6, delta=1.0, theta=0.3, seed=2))
         report = cli._report_payload(verify_reflection(u, syn), "paper")
         comparison = {
-            "corrected": cli._kernel_summary(gap, False, 32),
-            "paper": cli._kernel_summary(gap, True, 32),
+            "corrected": cli._kernel_summary(gap, False),
+            "paper": cli._kernel_summary(gap, True),
         }
         for payload in (report, {**report, "t_formula_comparison": comparison}):
             assert _render_json(payload) == reference_render_json(payload)
@@ -612,45 +612,26 @@ class TestVerify:
         ])
         assert code == EXIT_CONFIG
 
-    def test_oversample_below_minimum_is_config_error(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        code = main([
-            "verify", "--dim", "4", "--delta", "0.5", "--epsilon", "0.1",
-            "--use-paper-t-formula", "--oversample", "2", "--out", str(out),
-        ])
-        assert code == EXIT_CONFIG
-        assert not out.exists()
-        assert "error: --oversample must be at least 16, got 2" in capsys.readouterr().err
-
-    def test_oversample_without_published_formula_is_config_error(self, tmp_path, capsys):
+    def test_oversample_is_an_unknown_flag(self, tmp_path, capsys):
+        # the comparison's grid density is fixed (poly.OVERSAMPLE)
         out = tmp_path / "report.json"
         args = ["verify", "--dim", "4", "--delta", "1", "--epsilon", "0.1", "--out", str(out)]
-        assert main(args + ["--oversample", "64"]) == EXIT_CONFIG
+        for extra in ([], ["--use-paper-t-formula"]):
+            with pytest.raises(SystemExit) as exc:
+                main(args + extra + ["--oversample", "64"])
+            assert exc.value.code == EXIT_CONFIG
+            assert "unrecognized arguments: --oversample 64" in capsys.readouterr().err
         assert not out.exists()
-        err = capsys.readouterr().err
-        assert err == "error: --oversample applies only with --use-paper-t-formula\n"
-        assert main(args + ["--oversample", "64", "--use-paper-t-formula"]) != EXIT_CONFIG
-        assert "t_formula_comparison" in json.loads(out.read_text())
 
-    def test_oversample_key_without_published_formula_is_config_error(self, tmp_path, capsys):
+    def test_oversample_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         out = tmp_path / "report.json"
         cfg.write_text(json.dumps({"delta": 1.0, "epsilon": 0.1, "dim": 4, "oversample": 32}))
-        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        for extra in ([], ["--use-paper-t-formula"]):
+            assert main(["verify", "--config", str(cfg), "--out", str(out), *extra]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err == f"error: config file {str(cfg)!r} has unknown key 'oversample'\n"
         assert not out.exists()
-        err = capsys.readouterr().err
-        assert err == "error: --oversample applies only with --use-paper-t-formula\n"
-        assert main(["verify", "--config", str(cfg), "--use-paper-t-formula"]) != EXIT_CONFIG
-
-    def test_oversample_defaults_with_published_formula(self, tmp_path):
-        reports = []
-        for extra in ([], ["--oversample", str(cli.DEFAULT_OVERSAMPLE)]):
-            out = tmp_path / f"report{len(reports)}.json"
-            args = ["verify", "--dim", "4", "--delta", PI_HALF, "--epsilon", "0.001"]
-            code = main(args + ["--use-paper-t-formula", "--out", str(out)] + extra)
-            assert code == EXIT_BOUND_VIOLATED
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
 
 
 class TestSweep:
@@ -710,7 +691,7 @@ class TestSweep:
 
     def test_failed_row_exit_code(self, tmp_path, capsys):
         code, rows, text = self.run_sweep(
-            tmp_path, deltas="0.5,4", epsilons="0.1", dims="4", seeds="0"
+            tmp_path, deltas="0.5,1e-6", epsilons="0.1", dims="4", seeds="0"
         )
         assert code == EXIT_SWEEP_ROWS_FAILED
         assert text.splitlines()[0] == (
@@ -719,11 +700,29 @@ class TestSweep:
         )
         good, bad = rows
         assert good["satisfied"] == "true"
-        assert bad["delta"] == "4"
+        assert bad["delta"] == "9.9999999999999995e-07"
         assert bad["measured_error"] == "" and bad["satisfied"] == "false"
         err = capsys.readouterr().err
-        assert "delta must lie in (0, pi], got 4.0" in err
+        assert "sweep: delta=1e-06 epsilon=0.1 dim=4 seed=0 failed: plan degree" in err
         assert "1 row(s) failed to run" in err
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"deltas": "0.5,4", "epsilons": "0.1"}, "delta must lie in (0, pi], got 4.0"),
+            ({"deltas": "0.5", "epsilons": "0.1,2"}, "epsilon must lie in (0, 1), got 2.0"),
+        ],
+        ids=["delta", "epsilon"],
+    )
+    def test_out_of_range_grid_value_is_config_error(self, tmp_path, capsys, grid, message):
+        # refused before any row runs, as plan and verify refuse it
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--dims", "4", "--seeds", "0", "--csv-out", str(out)]
+        for flag, value in grid.items():
+            args += [f"--{flag}", value]
+        assert main(args) == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_degree_above_cap_fails_its_row(self, tmp_path, capsys):
         code, rows, _ = self.run_sweep(
@@ -847,7 +846,7 @@ class TestConfigFile:
         [
             ("plan", {"delta": [0.5], "epsilon": 0.1}, "delta"),
             ("plan", {"delta": 0.5, "epsilon": 0.1, "theta": None}, "theta"),
-            ("plan", {"delta": 0.5, "epsilon": 0.1, "oversample": "many"}, "oversample"),
+            ("plan", {"delta": 0.5, "epsilon": 0.1, "multiplicity": "many"}, "multiplicity"),
             ("sweep", {"deltas": "0.5", "epsilons": "0.1", "dims": 4, "seeds": "0"}, "dims"),
             ("sweep", {"deltas": "0.5", "epsilons": "0.1", "dims": "4", "seeds": [None]}, "seeds"),
             ("verify", {"delta": 1.0, "epsilon": 0.1, "dim": {"n": 4}}, "dim"),
@@ -858,8 +857,8 @@ class TestConfigFile:
              "multiplicity"),
             ("verify", {"delta": 1.0, "epsilon": 0.1, "dim": True}, "dim"),
             ("verify", {"delta": 1.0, "epsilon": 0.1, "dim": math.inf}, "dim"),
-            ("plan", {"delta": 1.0, "epsilon": 0.1, "oversample": 32.5}, "oversample"),
-            ("plan", {"delta": 1.0, "epsilon": 0.1, "oversample": False}, "oversample"),
+            ("plan", {"delta": 1.0, "epsilon": 0.1, "multiplicity": 32.5}, "multiplicity"),
+            ("plan", {"delta": 1.0, "epsilon": 0.1, "multiplicity": False}, "multiplicity"),
             ("sweep", {"deltas": [1.0], "epsilons": [0.1], "dims": [4.9], "seeds": [0]}, "dims"),
             ("sweep", {"deltas": [1.0], "epsilons": [0.1], "dims": [4], "seeds": [True]}, "seeds"),
             ("plan", {"delta": 10**400, "epsilon": 0.1}, "delta"),
@@ -978,14 +977,14 @@ class TestParser:
             "plan": shared | gap | {"--out"},
             "synth": shared | gap | {"--completion-tol", "--circuit-out", "--angles-out"},
             "verify": shared | gap | {
-                "--oversample", "--completion-tol", "--matrix", "--dim", "--multiplicity",
+                "--completion-tol", "--matrix", "--dim", "--multiplicity",
                 "--seed", "--out",
             },
             "sweep": shared | {
                 "--completion-tol", "--deltas", "--epsilons", "--dims", "--seeds", "--csv-out",
             },
         }
-        assert sum(map(len, flags.values())) == 35
+        assert sum(map(len, flags.values())) == 34
 
     @pytest.mark.parametrize(
         "argv",

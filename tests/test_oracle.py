@@ -348,14 +348,18 @@ class TestVerifyReflection:
         assert report.oracle_block_residual <= 1e-8
 
     def test_checks_the_circuit_it_is_given(self):
-        # a wrong angle in the plus branch must show in the report: verify
-        # realizes the record's circuit, not a copy rebuilt from the plan
+        # a wrong angle in the plus branch, mirrored into the tail, must show
+        # in the report: verify realizes the record's circuit, not a copy
+        # rebuilt from the plan
         gap = GapSpec(math.pi / 2, epsilon=1e-2)
         syn = synthesize(gap)
         u = random_gapped_unitary(SpectrumSpec(dim=8, delta=gap.delta, seed=3))
-        gates = list(syn.circuit.gates)
-        gates[2] = replace(gates[2], theta=gates[2].theta + 0.1)
-        bad = replace(syn, circuit=replace(syn.circuit, gates=tuple(gates)))
+        plus = syn.branches[0]
+        thetas = list(plus.thetas)
+        thetas[1] += 0.1
+        bad_plus = replace(plus, thetas=tuple(thetas))
+        mirror = replace(bad_plus, thetas=tuple(-t for t in bad_plus.thetas))
+        bad = replace(syn, circuit=circuit.build_reflection(syn.plan, (bad_plus, mirror)))
         assert verify_reflection(u, syn).oracle_block_residual <= 1e-8
         assert verify_reflection(u, bad).oracle_block_residual > 1e-3
 
@@ -546,37 +550,28 @@ class TestMirroredComposite:
         # decompose's reconstruction residual and the oracle block residual
         assert [a.shape for a in calls["spectral_norm"]] == [(dim, dim), (dim, dim)]
 
-    def test_an_edited_tail_is_realized_gate_by_gate(self, monkeypatch):
-        gap = GapSpec(math.pi / 2, epsilon=1e-2)
-        syn = synthesize(gap)
-        u = random_gapped_unitary(SpectrumSpec(dim=8, delta=gap.delta, seed=3))
+    def test_a_tail_that_is_not_the_mirror_is_refused(self, monkeypatch):
+        syn, u = self.instance(*MIRROR_RECORDS[1], 8)
         split = 2 * syn.plan.degree + 1
-        gates = list(syn.circuit.gates)
-        gates[split + 2] = replace(gates[split + 2], theta=gates[split + 2].theta + 0.1)
-        bad = replace(syn, circuit=replace(syn.circuit, gates=tuple(gates)))
-        walks = self.spy_on_walks(monkeypatch)
-        good_report, bad_report = verify_reflection(u, syn), verify_reflection(u, bad)
-        assert [len(c.gates) for c in walks] == [split, split, split]  # head; head, tail
-        assert good_report.measured_error <= 1e-5
-        assert bad_report.measured_error > 1e-3
-        assert bad_report.oracle_block_residual == good_report.oracle_block_residual
+        head, tail = syn.circuit.gates[:split], syn.circuit.gates[split:]
 
-    @pytest.mark.parametrize("dim", [8, 64])
-    def test_a_slightly_edited_tail_reports_its_measured_defect(self, dim):
-        # one theta moved by 1e-12 fails the mirror check: the composite is
-        # multiplied out and its Gram defect measured, not bounded
-        syn, u = self.instance(*MIRROR_RECORDS[1], dim)
-        split = 2 * syn.plan.degree + 1
-        gates = list(syn.circuit.gates)
-        gates[split + 2] = replace(gates[split + 2], theta=gates[split + 2].theta + 1e-12)
-        head, tail = CircuitIR(tuple(gates[:split]), 0), CircuitIR(tuple(gates[split:]), 0)
-        bad = replace(syn, circuit=replace(syn.circuit, gates=tuple(gates)))
-        assert not oracle._mirrors(tail.gates, head.gates)
-        w = realize(tail, u, initial=realize(head, u))
-        report = verify_reflection(u, bad)
-        assert report.unitarity_residual == sim._gram_defect(w)
-        ideal = 2.0 * exact_projector(decompose(u, gap=syn.plan.gap), self.THETA) - np.eye(dim)
-        assert report.measured_error == spectral_norm(pue_block(w) - ideal)
+        def edit_theta(gates, k, by):
+            return gates[:k] + (replace(gates[k], theta=gates[k].theta + by),) + gates[k + 1:]
+
+        bad_circuits = [
+            head + edit_theta(tail, 2, 1e-12),
+            edit_theta(head, 2, 0.1) + tail,
+            head + tail[:-1],
+            head + head,
+        ]
+        calls = []
+        for name in ("decompose", "_apply_gates"):
+            monkeypatch.setattr(oracle, name, lambda *a, **k: calls.append(a))
+        for gates in bad_circuits:
+            bad = replace(syn, circuit=replace(syn.circuit, gates=gates))
+            with pytest.raises(ValueError, match="not the adjoint of its plus walk's Z-mirror"):
+                verify_reflection(u, bad)
+        assert calls == []
 
 
 def reference_mirror(head):

@@ -207,10 +207,6 @@ class TestMaxModulusOutsideGap:
                 assert peak <= math.exp(-plan.n) + 1e-14
                 assert peak <= epsilon
 
-    def test_rejects_weak_oversampling(self):
-        with pytest.raises(ValueError):
-            max_modulus_outside_gap(ComplexPolynomial((1.0,)), 1.0, oversample=8)
-
     def test_rejects_bad_arc(self):
         with pytest.raises(ValueError):
             max_modulus_outside_gap(ComplexPolynomial((1.0,)), 0.0)

@@ -25,13 +25,14 @@ class TestRunSweep:
     def test_failed_row_is_reported_and_exits_nonzero(self, tmp_path):
         out = tmp_path / "sweep.csv"
         proc = run_script(
-            "run_sweep.py", "--deltas", "0.5,4", "--epsilons", "0.1",
+            "run_sweep.py", "--deltas", "0.5,1e-6", "--epsilons", "0.1",
             "--dims", "4", "--seeds", "0", "--csv-out", str(out),
         )
         assert proc.returncode == EXIT_SWEEP_ROWS_FAILED
         assert "Traceback" not in proc.stderr
         assert "failed to run: 1" in proc.stdout
-        assert "failed row: delta=4, epsilon=0.10000000000000001, dim=4, seed=0" in proc.stdout
+        failed = "failed row: delta=9.9999999999999995e-07, epsilon=0.10000000000000001, dim=4"
+        assert failed + ", seed=0" in proc.stdout
         assert "worst error/bound ratio" in proc.stdout
         assert out.exists()
 

@@ -95,15 +95,6 @@ class TestRealize:
         w = realize(CircuitIR(circ.gates + adjoint(circ).gates, circ.declared_degree), u)
         assert spectral_norm(w - np.eye(16)) <= 1e-11
 
-    def test_tail_from_head_equals_whole_circuit(self):
-        u = random_unitary(4, seed=9)
-        plus, minus = build_w_branches(3, 2, phase_shift=0.4)
-        whole = CircuitIR(plus.gates + adjoint(minus).gates, plus.declared_degree)
-        head = realize(plus, u)
-        tail = CircuitIR(whole.gates[len(plus.gates):], whole.declared_degree)
-        assert np.array_equal(realize(tail, u, initial=head), realize(whole, u))
-        assert np.array_equal(head, realize(plus, u))  # the snapshot is not mutated
-
     def test_phase_shift_equals_phased_oracle(self):
         u = random_unitary(4, seed=8)
         theta = 0.77
@@ -114,11 +105,11 @@ class TestRealize:
         ) <= 1e-12
 
 
-def dense_realize(c, u, initial=None):
+def dense_realize(c, u):
     # reference: one full (2 dim) x (2 dim) gate matrix per gate
     dim = u.shape[0]
     eye, zero = np.eye(dim), np.zeros((dim, dim))
-    total = np.eye(2 * dim, dtype=complex) if initial is None else initial
+    total = np.eye(2 * dim, dtype=complex)
     for g in c.gates:
         if isinstance(g, AncillaRotation):
             cos, sin = math.cos(g.theta), math.sin(g.theta)
@@ -149,29 +140,7 @@ class TestAgainstDenseProduct:
         u = random_unitary(dim, seed=100 + dim)
         for _ in range(4):
             circ = random_circuit(rng, 24)
-            initial = random_unitary(2 * dim, seed=int(rng.integers(1 << 30)))
             assert np.max(np.abs(realize(circ, u) - dense_realize(circ, u))) <= 1e-13
-            assert (
-                np.max(np.abs(realize(circ, u, initial) - dense_realize(circ, u, initial)))
-                <= 1e-13
-            )
-
-    @pytest.mark.parametrize("dim, cols", [(1, 1), (2, 1), (3, 2), (4, 9), (6, 5)])
-    def test_rectangular_initial(self, dim, cols):
-        rng = np.random.default_rng(10 * dim + cols)
-        u = random_unitary(dim, seed=200 + dim)
-        initial = rng.normal(size=(2 * dim, cols)) + 1j * rng.normal(size=(2 * dim, cols))
-        for _ in range(4):
-            circ = random_circuit(rng, 24)
-            expected = dense_realize(circ, u, initial)
-            for layout in (initial, np.asfortranarray(initial)):
-                w = realize(circ, u, layout)
-                assert w.shape == (2 * dim, cols)
-                assert np.max(np.abs(w - expected)) <= 1e-13
-
-    def test_initial_with_wrong_row_count_rejected(self):
-        with pytest.raises(ValueError, match="rows"):
-            realize(CircuitIR((), 0), np.eye(2), initial=np.eye(5))
 
 
 def build_w_branches(t, n, phase_shift=0.0):
