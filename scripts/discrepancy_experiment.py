@@ -6,6 +6,10 @@ the error budget everywhere; the literal published formula rounds the
 other way and collapses to t = 1 for wide gaps, where the kernel stops
 suppressing anything.  This prints both side by side so the difference
 is visible in one screenful.
+
+Exit codes: 0 when the corrected formula meets its budget everywhere,
+1 when it misses it somewhere, 2 for a grid value that is not a number,
+a delta outside (0, pi] or an epsilon outside (0, 1), or an empty grid.
 """
 
 import argparse
@@ -42,10 +46,25 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
+def grid(text, flag):
+    values = [s.strip() for s in text.split(",") if s.strip()]
+    if not values:
+        raise ValueError(f"{flag} needs at least one value")
+    try:
+        return [float(s) for s in values]
+    except ValueError:
+        raise ValueError(f"{flag} holds a value that is not a number: {text!r}") from None
+
+
 def main(argv=None):
     args = parse_args(argv)
-    deltas = [float(s) for s in args.deltas.split(",") if s.strip()]
-    epsilons = [float(s) for s in args.epsilons.split(",") if s.strip()]
+    try:
+        deltas = grid(args.deltas, "--deltas")
+        epsilons = grid(args.epsilons, "--epsilons")
+        gaps = [GapSpec(delta, epsilon=epsilon) for delta in deltas for epsilon in epsilons]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     header = (
         f"{'delta':>10} {'epsilon':>8} | {'t_corr':>6} {'deg':>5} {'peak':>9} "
@@ -54,27 +73,25 @@ def main(argv=None):
     print(header)
     print("-" * len(header))
     literal_failures = 0
-    for delta in deltas:
-        for epsilon in epsilons:
-            gap = GapSpec(delta, epsilon=epsilon)
-            corr_plan, corr_peak = kernel_peak(gap, use_paper=False)
-            lit_plan, lit_peak = kernel_peak(gap, use_paper=True)
-            corr_ok = corr_peak <= epsilon
-            lit_ok = lit_peak <= epsilon
-            literal_failures += 0 if lit_ok else 1
-            print(
-                f"{delta:10.6f} {epsilon:8.0e} | "
-                f"{corr_plan.t:6d} {corr_plan.degree:5d} {corr_peak:9.2e} "
-                f"{'yes' if corr_ok else 'NO':>3} | "
-                f"{lit_plan.t:6d} {lit_plan.degree:5d} {lit_peak:9.2e} "
-                f"{'yes' if lit_ok else 'NO':>3}"
-            )
-            if not corr_ok:
-                print("unexpected: corrected formula misses its budget", file=sys.stderr)
-                return 1
+    for gap in gaps:
+        corr_plan, corr_peak = kernel_peak(gap, use_paper=False)
+        lit_plan, lit_peak = kernel_peak(gap, use_paper=True)
+        corr_ok = corr_peak <= gap.epsilon
+        lit_ok = lit_peak <= gap.epsilon
+        literal_failures += 0 if lit_ok else 1
+        print(
+            f"{gap.delta:10.6f} {gap.epsilon:8.0e} | "
+            f"{corr_plan.t:6d} {corr_plan.degree:5d} {corr_peak:9.2e} "
+            f"{'yes' if corr_ok else 'NO':>3} | "
+            f"{lit_plan.t:6d} {lit_plan.degree:5d} {lit_peak:9.2e} "
+            f"{'yes' if lit_ok else 'NO':>3}"
+        )
+        if not corr_ok:
+            print("unexpected: corrected formula misses its budget", file=sys.stderr)
+            return 1
     print(
         f"\nliteral formula misses the budget on {literal_failures} of "
-        f"{len(deltas) * len(epsilons)} grid points; corrected misses none"
+        f"{len(gaps)} grid points; corrected misses none"
     )
     return 0
 

@@ -34,7 +34,6 @@ from .completion import (
 from .gqsp import (
     ROTATION_CONVENTION,
     GQSPAngleSequence,
-    branch_pair,
     reconstruct_polynomials,
     synthesize_angles,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "VerificationReport",
     "adjoint",
     "apply_poly",
-    "branch_pair",
     "build_reflection",
     "build_upsilon",
     "build_w",

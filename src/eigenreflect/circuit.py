@@ -15,11 +15,11 @@ pipeline once and keeps every stage in one `Synthesis` record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 from .completion import DEFAULT_COMPLETION_TOL, CompletionResult, factorize, gram_polynomial
-from .gqsp import GQSPAngleSequence, branch_pair
+from .gqsp import GQSPAngleSequence, synthesize_angles
 from .poly import ComplexPolynomial, GapSpec, ReflectionPlan, build_upsilon, select_parameters
 
 __all__ = [
@@ -162,27 +162,46 @@ def predicted_counts(plan: ReflectionPlan) -> GateCounts:
 
 @dataclass(frozen=True)
 class Synthesis:
-    """One plan carried through the pipeline: kernel, completion, angles, circuit.
+    """One plan carried through the pipeline: kernel, completion, plus angles, circuit.
 
     A plain record filled once by `synthesize`; its one completion residual is
     `completion.residual`, the value `factorize` checked against the tolerance.
-    The plus branch is peeled once and the minus branch is its Z-mirror
-    (every theta negated); the circuit is the plus walk, then the adjoint
-    of the minus walk, so its first 2 * degree + 1 gates are the plus branch.
+    Only the plus branch is stored; `branches` and `circuit` derive from it.
+    The circuit is built on construction and cannot be passed in, so
+    `dataclasses.replace(record, plus=...)` rebuilds it, and equality and
+    hash ignore it.  It is the plus walk, then the adjoint of the minus
+    walk, so its first 2 * degree + 1 gates are the plus branch.
     """
 
     plan: ReflectionPlan
     kernel: ComplexPolynomial
     completion: CompletionResult
-    branches: tuple[GQSPAngleSequence, GQSPAngleSequence]
-    circuit: CircuitIR
+    plus: GQSPAngleSequence
+    circuit: CircuitIR = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "circuit", build_reflection(self.plan, self.branches))
+
+    @property
+    def branches(self) -> tuple[GQSPAngleSequence, GQSPAngleSequence]:
+        """Angle sequences for the two walk branches of the reflection.
+
+        Both branches place the averaging kernel in the upper-left block;
+        they differ only in the sign of the partner polynomial, which is
+        what turns the composite's lower block into a subtraction and the
+        upper block into 2|kernel|^2 - 1 on the circle.  Z . R(theta, phi, lam) . Z
+        = R(-theta, phi, lam) for Z = diag(1, -1), and Z commutes with the
+        shift, so the plus thetas negated give the minus branch.
+        """
+        plus = self.plus
+        return plus, replace(plus, thetas=tuple(-t for t in plus.thetas))
 
 
 def synthesize(
     gap: GapSpec, *, use_paper_t_formula: bool = False,
     completion_tol: float = DEFAULT_COMPLETION_TOL,
 ) -> Synthesis:
-    """Plan (t, n), build and complete the kernel, peel and mirror the branches, build the circuit.
+    """Plan (t, n), build and complete the kernel, peel the plus branch; the record builds the circuit.
 
     Raises ValueError, before anything is built, when the plan's degree
     (t - 1) n exceeds MAX_DEGREE, and CompletionError when the
@@ -196,5 +215,4 @@ def synthesize(
         )
     kernel = build_upsilon(plan.t, plan.n)
     completion = factorize(gram_polynomial(kernel), tol=completion_tol)
-    branches = branch_pair(kernel, completion.phi)
-    return Synthesis(plan, kernel, completion, branches, build_reflection(plan, branches))
+    return Synthesis(plan, kernel, completion, synthesize_angles(kernel, completion.phi))

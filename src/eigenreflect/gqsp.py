@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "GQSPAngleSequence",
     "synthesize_angles",
     "reconstruct_polynomials",
-    "branch_pair",
 ]
 
 TOP_TOL = 1e-13  # leading coefficients at or below this count as absent
@@ -132,19 +131,3 @@ def reconstruct_polynomials(seq: GQSPAngleSequence) -> tuple[ComplexPolynomial, 
         xq = np.concatenate([[0.0], q])
         p, q = fwd * (c * p_pad + s * xq), s * p_pad - c * xq
     return ComplexPolynomial(tuple(p)), ComplexPolynomial(tuple(q))
-
-
-def branch_pair(
-    upsilon: ComplexPolynomial, phi: ComplexPolynomial
-) -> tuple[GQSPAngleSequence, GQSPAngleSequence]:
-    """Angle sequences for the two walk branches of the reflection.
-
-    Both branches place the averaging kernel in the upper-left block;
-    they differ only in the sign of the partner polynomial, which is
-    what turns the composite's lower block into a subtraction and the
-    upper block into 2|kernel|^2 - 1 on the circle.  One peel gives the
-    plus branch; Z . R(theta, phi, lam) . Z = R(-theta, phi, lam), and
-    Z commutes with the shift, so its thetas negated give the minus one.
-    """
-    plus = synthesize_angles(upsilon, phi)
-    return plus, replace(plus, thetas=tuple(-t for t in plus.thetas))

@@ -33,8 +33,8 @@ class SpectrumSpec:
             raise ValueError("dim must be at least 1")
         if not 1 <= self.target_multiplicity <= self.dim:
             raise ValueError("target_multiplicity must be in [1, dim]")
-        if not 0.0 < self.delta < math.pi:
-            raise ValueError("delta must lie strictly inside (0, pi)")
+        if not 0.0 < self.delta <= math.pi:
+            raise ValueError(f"delta must lie in (0, pi], got {self.delta!r}")
 
 
 def random_gapped_unitary(spec: SpectrumSpec) -> np.ndarray:

@@ -1,9 +1,13 @@
-"""Shared helper: random complementary pairs on the unit circle."""
+"""Shared helpers: random complementary pairs on the unit circle, and walk mirrors."""
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
+from eigenreflect.circuit import AncillaRotation, CircuitIR, adjoint
 from eigenreflect.completion import factorize, gram_polynomial
 from eigenreflect.poly import ComplexPolynomial, eval_on_circle_grid
 
@@ -34,3 +38,19 @@ def padded(p: ComplexPolynomial, length: int) -> np.ndarray:
     arr = p.as_array()
     out[: len(arr)] = arr
     return out
+
+
+# (delta, epsilon, plan degree) of the records the mirror tests synthesize
+MIRROR_RECORDS = [(math.pi / 2, 1e-3, 21), (math.pi / 4, 1e-2, 35), (math.pi / 16, 1e-3, 189)]
+
+
+def reference_mirror(head):
+    # the adjoint of head's Z-mirror built gate by gate from public pieces,
+    # for a plain tuple comparison
+    negated = (replace(g, theta=-g.theta) if isinstance(g, AncillaRotation) else g for g in head)
+    return adjoint(CircuitIR(tuple(negated), 0)).gates
+
+
+def theta_negated(plus):
+    """The minus branch: the plus angle sequence with every theta negated."""
+    return replace(plus, thetas=tuple(-t for t in plus.thetas))

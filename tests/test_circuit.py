@@ -1,6 +1,7 @@
 """Structural checks on the gate-level representation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from eigenreflect.circuit import (
     CircuitIR,
     ControlledOracle,
     GateCounts,
+    Synthesis,
     adjoint,
     build_reflection,
     build_w,
@@ -23,8 +25,10 @@ from eigenreflect.completion import (
     factorize,
     gram_polynomial,
 )
-from eigenreflect.gqsp import GQSPAngleSequence, branch_pair
+from eigenreflect.gqsp import GQSPAngleSequence, synthesize_angles
 from eigenreflect.poly import GapSpec, build_upsilon, select_parameters
+
+from _pairs import MIRROR_RECORDS, reference_mirror, theta_negated
 
 
 def plan_branches(delta, epsilon, *, use_paper_t_formula=False):
@@ -155,9 +159,26 @@ class TestSynthesize:
         assert plan == select_parameters(gap)
         assert syn.kernel == build_upsilon(plan.t, plan.n)
         assert syn.completion == factorize(gram_polynomial(syn.kernel))
-        assert syn.branches == branch_pair(syn.kernel, syn.completion.phi)
+        plus = synthesize_angles(syn.kernel, syn.completion.phi)
+        assert syn.plus == plus
+        assert syn.branches == (plus, theta_negated(plus))
         assert syn.circuit == build_reflection(plan, syn.branches)
         assert gate_counts(syn.circuit) == predicted_counts(plan)
+        # the tail is built from the head, never passed in
+        for delta, epsilon, degree in MIRROR_RECORDS:
+            gates = synthesize(GapSpec(delta, theta=0.6, epsilon=epsilon)).circuit.gates
+            split = 2 * degree + 1
+            assert gates[split:] == reference_mirror(gates[:split])
+        edited = replace(syn, plus=replace(plus, thetas=(plus.thetas[0] + 0.1,) + plus.thetas[1:]))
+        assert edited.circuit == build_reflection(plan, edited.branches) != syn.circuit
+        with pytest.raises(ValueError, match="init=False"):
+            replace(syn, circuit=syn.circuit)
+        with pytest.raises(TypeError):
+            Synthesis(plan, syn.kernel, syn.completion, plus, syn.circuit)
+        # equality and hash ignore the derived field
+        twin = Synthesis(plan, syn.kernel, syn.completion, plus)
+        object.__setattr__(twin, "circuit", CircuitIR((), 0))
+        assert twin == syn and hash(twin) == hash(syn)
 
     @pytest.mark.parametrize(
         "k, epsilon, degree", [(4, 1e-2, 35), (32, 1e-3, 385), (256, 1e-3, 3101)]

@@ -15,7 +15,7 @@ from eigenreflect.completion import (
     factorize,
     gram_polynomial,
 )
-from eigenreflect.gqsp import branch_pair, reconstruct_polynomials
+from eigenreflect.gqsp import reconstruct_polynomials, synthesize_angles
 from eigenreflect.poly import (
     ComplexPolynomial,
     GapSpec,
@@ -24,7 +24,7 @@ from eigenreflect.poly import (
     select_parameters,
 )
 
-from _pairs import random_complementary_pair
+from _pairs import random_complementary_pair, theta_negated
 
 
 class TestTrigPolynomial:
@@ -167,7 +167,8 @@ class TestPartnerDegree:
         assert ups.degree == plan.degree
         phi = factorize(gram_polynomial(ups)).phi
         assert phi.degree == plan.degree
-        plus, minus = branch_pair(ups, phi)
+        plus = synthesize_angles(ups, phi)
+        minus = theta_negated(plus)
         assert plus.degenerate_steps == minus.degenerate_steps == ()
         rebuilt, partner = reconstruct_polynomials(plus)
         assert rebuilt.degree == ups.degree

@@ -7,18 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenreflect import gqsp
+from eigenreflect import circuit
 from eigenreflect.circuit import synthesize
 from eigenreflect.completion import factorize, gram_polynomial
 from eigenreflect.gqsp import (
     GQSPAngleSequence,
-    branch_pair,
     reconstruct_polynomials,
     synthesize_angles,
 )
 from eigenreflect.poly import ComplexPolynomial, GapSpec, build_upsilon
 
-from _pairs import padded, random_complementary_pair
+from _pairs import padded, random_complementary_pair, theta_negated
 
 
 def roundtrip_error(p, q):
@@ -135,14 +134,17 @@ class TestReconstruct:
 
 
 class TestBranchPair:
+    """The minus branch is the plus branch with every theta negated, as `Synthesis.branches` builds it."""
+
     def test_trivial_kernel_gives_identical_branches(self):
-        plus, minus = branch_pair(ComplexPolynomial((1.0,)), ComplexPolynomial((0.0,)))
-        assert plus == minus
+        plus = synthesize_angles(ComplexPolynomial((1.0,)), ComplexPolynomial((0.0,)))
+        assert theta_negated(plus) == plus
 
     def test_branches_reconstruct_with_opposite_partner_signs(self):
         ups = ComplexPolynomial((0.5, 0.5))
         phi = ComplexPolynomial((0.5, -0.5))
-        plus, minus = branch_pair(ups, phi)
+        plus = synthesize_angles(ups, phi)
+        minus = theta_negated(plus)
         p_plus, q_plus = reconstruct_polynomials(plus)
         p_minus, q_minus = reconstruct_polynomials(minus)
         assert np.max(np.abs(padded(p_plus, 2) - padded(p_minus, 2))) <= 1e-12
@@ -151,8 +153,8 @@ class TestBranchPair:
     def test_plan_kernel_branches_round_trip(self):
         ups = build_upsilon(4, 3)
         phi = factorize(gram_polynomial(ups)).phi
-        plus, minus = branch_pair(ups, phi)
-        for seq, sign in ((plus, 1.0), (minus, -1.0)):
+        plus = synthesize_angles(ups, phi)
+        for seq, sign in ((plus, 1.0), (theta_negated(plus), -1.0)):
             p2, q2 = reconstruct_polynomials(seq)
             width = ups.degree + 1
             assert np.max(np.abs(padded(p2, width) - padded(ups, width))) <= 1e-9
@@ -187,6 +189,6 @@ class TestBranchPair:
             pairs.append((p, q))
             return synthesize_angles(p, q)
 
-        monkeypatch.setattr(gqsp, "synthesize_angles", spy)
+        monkeypatch.setattr(circuit, "synthesize_angles", spy)
         syn = synthesize(GapSpec(delta, epsilon=epsilon))
         assert pairs == [(syn.kernel, syn.completion.phi)]

@@ -9,13 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigenreflect import circuit, completion, gqsp, oracle, sim
-from eigenreflect.circuit import (
-    AncillaRotation,
-    CircuitIR,
-    ControlledOracle,
-    adjoint,
-    synthesize,
-)
+from eigenreflect.circuit import CircuitIR, synthesize
 from eigenreflect.oracle import (
     GapViolation,
     SpectralData,
@@ -35,6 +29,8 @@ from eigenreflect.poly import (
 )
 from eigenreflect.sim import pue_block, realize, spectral_norm
 from eigenreflect.testgen import SpectrumSpec, random_gapped_unitary
+
+from _pairs import MIRROR_RECORDS
 
 
 class TestDecompose:
@@ -354,12 +350,9 @@ class TestVerifyReflection:
         gap = GapSpec(math.pi / 2, epsilon=1e-2)
         syn = synthesize(gap)
         u = random_gapped_unitary(SpectrumSpec(dim=8, delta=gap.delta, seed=3))
-        plus = syn.branches[0]
-        thetas = list(plus.thetas)
+        thetas = list(syn.plus.thetas)
         thetas[1] += 0.1
-        bad_plus = replace(plus, thetas=tuple(thetas))
-        mirror = replace(bad_plus, thetas=tuple(-t for t in bad_plus.thetas))
-        bad = replace(syn, circuit=circuit.build_reflection(syn.plan, (bad_plus, mirror)))
+        bad = replace(syn, plus=replace(syn.plus, thetas=tuple(thetas)))
         assert verify_reflection(u, syn).oracle_block_residual <= 1e-8
         assert verify_reflection(u, bad).oracle_block_residual > 1e-3
 
@@ -476,11 +469,8 @@ class TestPlantedGapViolation:
         assert len(calls) == (planted > self.GAP.theta)
 
 
-MIRROR_RECORDS = [(math.pi / 2, 1e-3, 21), (math.pi / 4, 1e-2, 35), (math.pi / 16, 1e-3, 189)]
-
-
 class TestMirroredComposite:
-    """verify reads the composite off the plus walk when the tail is its mirror's adjoint."""
+    """verify reads the composite off the plus walk, whose mirror's adjoint is the tail."""
 
     THETA = 0.6
 
@@ -489,8 +479,6 @@ class TestMirroredComposite:
         syn = synthesize(GapSpec(delta, theta=cls.THETA, epsilon=epsilon))
         assert syn.plan.degree == degree
         u = random_gapped_unitary(SpectrumSpec(dim=dim, delta=delta, theta=cls.THETA, seed=dim))
-        split = 2 * degree + 1
-        assert oracle._mirrors(syn.circuit.gates[split:], syn.circuit.gates[:split])
         return syn, u
 
     @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_RECORDS)
@@ -549,82 +537,6 @@ class TestMirroredComposite:
         assert np.array_equal(gram, w_plus)
         # decompose's reconstruction residual and the oracle block residual
         assert [a.shape for a in calls["spectral_norm"]] == [(dim, dim), (dim, dim)]
-
-    def test_a_tail_that_is_not_the_mirror_is_refused(self, monkeypatch):
-        syn, u = self.instance(*MIRROR_RECORDS[1], 8)
-        split = 2 * syn.plan.degree + 1
-        head, tail = syn.circuit.gates[:split], syn.circuit.gates[split:]
-
-        def edit_theta(gates, k, by):
-            return gates[:k] + (replace(gates[k], theta=gates[k].theta + by),) + gates[k + 1:]
-
-        bad_circuits = [
-            head + edit_theta(tail, 2, 1e-12),
-            edit_theta(head, 2, 0.1) + tail,
-            head + tail[:-1],
-            head + head,
-        ]
-        calls = []
-        for name in ("decompose", "_apply_gates"):
-            monkeypatch.setattr(oracle, name, lambda *a, **k: calls.append(a))
-        for gates in bad_circuits:
-            bad = replace(syn, circuit=replace(syn.circuit, gates=gates))
-            with pytest.raises(ValueError, match="not the adjoint of its plus walk's Z-mirror"):
-                verify_reflection(u, bad)
-        assert calls == []
-
-
-def reference_mirror(head):
-    # the adjoint of head's Z-mirror built gate by gate from public pieces,
-    # for a plain tuple comparison
-    negated = (replace(g, theta=-g.theta) if isinstance(g, AncillaRotation) else g for g in head)
-    return adjoint(CircuitIR(tuple(negated), 0)).gates
-
-
-def one_edit_tails(tail):
-    """Tails that differ from `tail` in one field of one gate, one gate's type, or length."""
-    for k, g in enumerate(tail):
-        if isinstance(g, AncillaRotation):
-            edits = [replace(g, **{f: getattr(g, f) + 1e-12}) for f in ("theta", "phi", "lam")]
-            edits += [replace(g, theta=math.nan), replace(g, phi=-g.phi), ControlledOracle(1)]
-        else:
-            edits = [replace(g, exponent=-g.exponent),
-                     replace(g, phase_shift=g.phase_shift + 1e-12),
-                     replace(g, phase_shift=math.nan),
-                     AncillaRotation(0.0, 0.0, 0.0)]
-        for edited in edits:
-            yield tail[:k] + (edited,) + tail[k + 1:]
-    yield tail[:-1]
-    yield tail[1:]
-    yield tail + tail[-1:]
-
-
-class TestMirrorCheck:
-    """The field-wise check agrees with comparing against the mirrored gates."""
-
-    @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_RECORDS)
-    def test_synthesized_tails_pass(self, delta, epsilon, degree):
-        syn = synthesize(GapSpec(delta, theta=0.6, epsilon=epsilon))
-        split = 2 * degree + 1
-        head, tail = syn.circuit.gates[:split], syn.circuit.gates[split:]
-        assert tail == reference_mirror(head)
-        assert oracle._mirrors(tail, head)
-        assert not oracle._mirrors(head, head)
-        assert not oracle._mirrors(tail, head[:-1])
-
-    def test_every_one_edit_tail_agrees_with_the_reference(self):
-        syn = synthesize(GapSpec(math.pi / 2, theta=0.6, epsilon=1e-3))
-        split = 2 * syn.plan.degree + 1
-        head, tail = syn.circuit.gates[:split], syn.circuit.gates[split:]
-        reference = reference_mirror(head)
-        verdicts = [
-            (oracle._mirrors(edited, head), edited == reference) for edited in one_edit_tails(tail)
-        ]
-        assert len(verdicts) == 6 * (split - syn.plan.degree) + 4 * syn.plan.degree + 3
-        assert all(check == expected for check, expected in verdicts)
-        # only flipping the sign of a zero phi leaves the gates equal
-        zero_phis = sum(isinstance(g, AncillaRotation) and g.phi == 0.0 for g in tail)
-        assert sum(check for check, _ in verdicts) == zero_phis > 0
 
 
 class TestSpectralData:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import eigenreflect
 from eigenreflect.cli import EXIT_SWEEP_ROWS_FAILED
 
@@ -53,3 +55,26 @@ class TestRunSweep:
         )
         assert proc.returncode == 0, proc.stderr
         assert list(tmpdir.iterdir()) == []
+
+
+class TestDiscrepancyExperiment:
+    def test_default_grid_exits_zero(self):
+        proc = run_script("discrepancy_experiment.py")
+        assert proc.returncode == 0, proc.stderr
+        assert "literal formula misses the budget on 12 of 12 grid points" in proc.stdout
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--deltas", "4", "delta must lie in (0, pi], got 4.0"),
+        ("--epsilons", "abc", "--epsilons holds a value that is not a number: 'abc'"),
+    ])
+    def test_bad_grid_value_exits_two(self, flag, value, message):
+        proc = run_script("discrepancy_experiment.py", flag, value)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"error: {message}" in proc.stderr
+
+    def test_empty_grid_exits_two(self):
+        proc = run_script("discrepancy_experiment.py", "--deltas", "")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "error: --deltas needs at least one value" in proc.stderr

@@ -15,9 +15,11 @@ from eigenreflect.circuit import (
     synthesize,
 )
 from eigenreflect.completion import factorize, gram_polynomial
-from eigenreflect.gqsp import branch_pair, synthesize_angles
+from eigenreflect.gqsp import synthesize_angles
 from eigenreflect.poly import ComplexPolynomial, GapSpec, build_upsilon
 from eigenreflect.sim import _gram_defect, pue_block, realize, spectral_norm
+
+from _pairs import theta_negated
 
 
 def random_unitary(dim, seed):
@@ -146,15 +148,15 @@ class TestAgainstDenseProduct:
 def build_w_branches(t, n, phase_shift=0.0):
     ups = build_upsilon(t, n)
     phi = factorize(gram_polynomial(ups)).phi
-    plus, minus = branch_pair(ups, phi)
-    return build_w(plus, phase_shift), build_w(minus, phase_shift)
+    plus = synthesize_angles(ups, phi)
+    return build_w(plus, phase_shift), build_w(theta_negated(plus), phase_shift)
 
 
 class TestBranchBlocks:
     def test_walk_blocks_encode_the_polynomial_pair(self):
         ups = build_upsilon(3, 2)
         phi = factorize(gram_polynomial(ups)).phi
-        plus, _ = branch_pair(ups, phi)
+        plus = synthesize_angles(ups, phi)
         u = random_unitary(5, seed=11)
         w = realize(build_w(plus), u)
         top = pue_block(w)

@@ -25,7 +25,7 @@ class TestSpectrumSpec:
         [
             {"dim": 0, "delta": 0.5},
             {"dim": 4, "delta": 0.0},
-            {"dim": 4, "delta": math.pi},
+            {"dim": 4, "delta": math.nextafter(math.pi, 4.0)},
             {"dim": 4, "delta": 0.5, "target_multiplicity": 0},
             {"dim": 4, "delta": 0.5, "target_multiplicity": 5},
         ],
@@ -70,14 +70,17 @@ class TestRandomGappedUnitary:
         assert validate_gap(s, GapSpec(0.7, epsilon=0.1)) == 3
 
     def test_wide_gap_with_bystanders_rejected(self):
-        spec = SpectrumSpec(dim=4, delta=3.1, seed=0)
-        with pytest.raises(ValueError, match="no room"):
-            random_gapped_unitary(spec)
+        for delta in (3.1, math.pi):
+            with pytest.raises(ValueError, match="no room"):
+                random_gapped_unitary(SpectrumSpec(dim=4, delta=delta, seed=0))
 
     def test_wide_gap_without_bystanders_is_fine(self):
-        spec = SpectrumSpec(dim=3, delta=3.1, target_multiplicity=3, seed=0)
-        u = random_gapped_unitary(spec)
-        assert spectral_norm(u - np.eye(3)) <= 1e-12
+        for delta in (3.1, math.pi):
+            spec = SpectrumSpec(dim=3, delta=delta, target_multiplicity=3, seed=0)
+            u = random_gapped_unitary(spec)
+            assert spectral_norm(u - np.eye(3)) <= 1e-12
+        single = random_gapped_unitary(SpectrumSpec(dim=1, delta=math.pi, theta=0.7))
+        assert single[0, 0] == pytest.approx(np.exp(0.7j), abs=1e-15)
 
     @given(
         dim=st.integers(1, 12),
