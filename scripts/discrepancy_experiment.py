@@ -9,13 +9,16 @@ is visible in one screenful.
 
 Exit codes: 0 when the corrected formula meets its budget everywhere,
 1 when it misses it somewhere, 2 for a grid value that is not a number,
-a delta outside (0, pi] or an epsilon outside (0, 1), or an empty grid.
+a delta outside (0, pi] or an epsilon outside (0, 1), a delta so small
+that either formula's plan has a degree above circuit.MAX_DEGREE (or an
+averaging length that overflows), or an empty grid.
 """
 
 import argparse
 import math
 import sys
 
+from eigenreflect.circuit import MAX_DEGREE
 from eigenreflect.poly import (
     GapSpec,
     build_upsilon,
@@ -27,10 +30,20 @@ DEFAULT_DELTAS = (math.pi / 2, math.pi / 4, math.pi / 8, math.pi / 16)
 DEFAULT_EPSILONS = (1e-1, 1e-2, 1e-3)
 
 
-def kernel_peak(gap, use_paper):
-    plan = select_parameters(gap, use_paper_t_formula=use_paper)
-    peak = max_modulus_outside_gap(build_upsilon(plan.t, plan.n), gap.delta)
-    return plan, peak
+def plan_pair(gap):
+    """The corrected and the literal plan, each checked against the degree cap."""
+    plans = [select_parameters(gap, use_paper_t_formula=paper) for paper in (False, True)]
+    for plan in plans:
+        if plan.degree > MAX_DEGREE:
+            raise ValueError(
+                f"plan degree {plan.degree} exceeds the cap of {MAX_DEGREE}; "
+                "widen delta or raise epsilon"
+            )
+    return plans
+
+
+def kernel_peak(plan):
+    return max_modulus_outside_gap(build_upsilon(plan.t, plan.n), plan.gap.delta)
 
 
 def parse_args(argv):
@@ -61,7 +74,10 @@ def main(argv=None):
     try:
         deltas = grid(args.deltas, "--deltas")
         epsilons = grid(args.epsilons, "--epsilons")
-        gaps = [GapSpec(delta, epsilon=epsilon) for delta in deltas for epsilon in epsilons]
+        rows = [
+            plan_pair(GapSpec(delta, epsilon=epsilon))
+            for delta in deltas for epsilon in epsilons
+        ]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -73,9 +89,10 @@ def main(argv=None):
     print(header)
     print("-" * len(header))
     literal_failures = 0
-    for gap in gaps:
-        corr_plan, corr_peak = kernel_peak(gap, use_paper=False)
-        lit_plan, lit_peak = kernel_peak(gap, use_paper=True)
+    for corr_plan, lit_plan in rows:
+        gap = corr_plan.gap
+        corr_peak = kernel_peak(corr_plan)
+        lit_peak = kernel_peak(lit_plan)
         corr_ok = corr_peak <= gap.epsilon
         lit_ok = lit_peak <= gap.epsilon
         literal_failures += 0 if lit_ok else 1
@@ -91,7 +108,7 @@ def main(argv=None):
             return 1
     print(
         f"\nliteral formula misses the budget on {literal_failures} of "
-        f"{len(gaps)} grid points; corrected misses none"
+        f"{len(rows)} grid points; corrected misses none"
     )
     return 0
 

@@ -3,22 +3,24 @@
 For a polynomial p bounded by 1 in modulus on the unit circle, find a
 partner q of no larger degree with |p|^2 + |q|^2 = 1 on the circle.
 The defect 1 - |p|^2 is a nonnegative trigonometric polynomial, so it
-factors as a squared modulus; this module computes the factor with
-FFTs and certifies the residual on a dense grid.
+factors as a squared modulus.  Its values on one dense circle grid feed
+both the factorization and the residual check.
 
-The averaging kernel's defect vanishes on the circle only at z = 1,
-where it has a double zero.  That zero is divided out exactly: the
-defect's value at 1 is pinned to zero, and two cumulative sums divide
-by |1 - z|^2.  What remains is strictly positive, so its log is smooth
-and the log-domain (Weiss) factorization applies: keep the causal half
-of the log's Fourier series, exponentiate, and truncate (Berntson and
-Sunderhauf, arXiv:2406.04246).  A defect with no zero at z = 1, such
-as that of a polynomial with peak modulus below 1, is factored the same
-way without the division.  Multiplying back by (1 - z) and reflecting
-the factor through the circle puts its roots in the closed disc, so
-the partner keeps the full degree with an order-one leading
-coefficient.  A defect that vanishes elsewhere on the circle, or dips
-below zero, factors poorly and is rejected by the residual check.
+The averaging kernel's defect g vanishes on the circle only at z = 1,
+where it has a double zero.  That zero is divided out on the grid: the
+value at 1, sum_k g_k (rounding-sized), is subtracted from each grid
+value, which is divided by |1 - z|^2; at z = 1 the quotient is its
+limit, -1/2 Re sum_k k^2 g_k.  What remains is strictly positive, so
+its log is smooth and the log-domain (Weiss) factorization applies:
+keep the causal half of the log's Fourier series, exponentiate, and
+truncate (Berntson and Sunderhauf, arXiv:2406.04246).  A defect with
+no zero at z = 1, such as that of a polynomial with peak modulus below
+1, is factored the same way without the division.  Multiplying back by
+(1 - z) and reflecting the factor through the circle puts its roots in
+the closed disc, so the partner keeps the full degree with an
+order-one leading coefficient.  A defect that vanishes elsewhere on the
+circle, or dips below zero, factors poorly and is rejected by the
+residual check.
 """
 
 from __future__ import annotations
@@ -86,7 +88,11 @@ class TrigPolynomial:
         The imaginary parts are rounding noise by Hermitian symmetry and
         are dropped.
         """
-        return _laurent_values(self.as_array(), m)
+        if m < len(self.laurent_coeffs):
+            raise ValueError("grid too coarse for the stored order")
+        vals = m * np.fft.ifft(self.as_array(), m)
+        vals *= np.exp(-2j * np.pi * np.arange(m) * self.order / m)
+        return vals.real
 
 
 @dataclass(frozen=True)
@@ -117,31 +123,29 @@ def gram_polynomial(upsilon: ComplexPolynomial) -> TrigPolynomial:
 def factorize(gram: TrigPolynomial, tol: float = DEFAULT_COMPLETION_TOL) -> CompletionResult:
     """Polynomial of degree gram.order whose squared circle modulus is gram.
 
+    The Weiss step and the residual check read one set of grid values.
     The leading coefficient is rotated to be real and nonnegative, which
     pins down the otherwise free global phase.  Raises CompletionError,
-    carrying the residual achieved, when the certified residual exceeds
-    tol; a defect that is not positive off z = 1 ends there.
+    carrying the residual achieved, when the residual exceeds tol; a
+    defect that is not positive off z = 1 ends there.
     """
     g = gram.as_array()
     d = gram.order
+    m = _grid_size(d)
+    vals = gram.values_on_grid(m)
     scale = float(np.max(np.abs(g)))
     if scale == 0.0:
         phi = np.zeros(1, dtype=complex)
+    elif d > 0 and abs(g.sum()) <= _ZERO_AT_ONE_TOL * scale:  # a double zero at z = 1
+        phi = _weiss_factor(_divide_by_one_minus_z_squared(g, vals), d - 1)
+        phi = np.convolve(phi, [1.0, -1.0])
     else:
-        total = g.sum()
-        deflate = d > 0 and abs(total) <= _ZERO_AT_ONE_TOL * scale
-        if deflate:
-            g = g.copy()
-            g[d] -= total  # the defect at z = 1 is now exactly zero
-            g = _divide_by_one_minus_z_squared(g)
-        phi = _weiss_factor(g)
-        if deflate:
-            phi = np.convolve(phi, [1.0, -1.0])
-        # the outer factor has its roots outside the disc and a leading
-        # coefficient that can fall to rounding; its reflection keeps
-        # the full degree
-        phi = _fix_leading_phase(np.conj(phi[::-1]))
-    residual = _gram_residual(phi, gram)
+        phi = _weiss_factor(vals, d)
+    # the outer factor has its roots outside the disc and a leading
+    # coefficient that can fall to rounding; its reflection keeps the
+    # full degree
+    phi = _fix_leading_phase(np.conj(phi[::-1]))
+    residual = float(np.max(np.abs(np.abs(m * np.fft.ifft(phi, m)) ** 2 - vals)))
     if not residual <= tol:
         raise CompletionError(
             f"residual {residual:.3e} exceeds tolerance {tol:.3e}", residual
@@ -159,16 +163,6 @@ def completion_residual(upsilon: ComplexPolynomial, phi: ComplexPolynomial, m: i
     return float(np.max(np.abs(u + p - 1.0)))
 
 
-def _laurent_values(g: np.ndarray, m: int) -> np.ndarray:
-    """Real circle values of Laurent coefficients g at the m-th roots of unity."""
-    if m < len(g):
-        raise ValueError("grid too coarse for the stored order")
-    order = (len(g) - 1) // 2
-    vals = m * np.fft.ifft(g, m)
-    vals *= np.exp(-2j * np.pi * np.arange(m) * order / m)
-    return vals.real
-
-
 def _grid_size(d: int) -> int:
     """Circle points for the checks and the Weiss step at degree d.
 
@@ -183,43 +177,37 @@ def _grid_size(d: int) -> int:
     return m
 
 
-def _gram_residual(phi: np.ndarray, gram: TrigPolynomial) -> float:
-    m = _grid_size(gram.order)  # phi has at most gram.order + 1 coefficients
-    gv = gram.values_on_grid(m)
-    pv = m * np.fft.ifft(phi, m)
-    return float(np.max(np.abs(np.abs(pv) ** 2 - gv)))
+def _divide_by_one_minus_z_squared(g: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Grid values of g / |1 - z|^2 from g's values vals, for g with a double zero at z = 1.
 
-
-def _divide_by_one_minus_z_squared(g: np.ndarray) -> np.ndarray:
-    """Laurent coefficients of g / |1 - z|^2, for g with a double zero at z = 1.
-
-    On the circle |1 - z|^2 = -z^-1 (1 - z)^2, so z^d g(z) is divided by
-    (1 - z) twice; dividing by (1 - z) is a cumulative sum.  The sums
-    run from the small outer coefficients inward, and only the lower
-    half is kept: the upper half is its conjugate mirror.
+    Off z = 1, the value there, sum(g), is pinned: it is subtracted
+    before dividing by |1 - z_j|^2 = 4 sin^2(pi j / m), so that a
+    rounding-sized g(1) does not swamp the quotient near 1.  At z = 1
+    the quotient is its limit g''(0) / 2 = -1/2 Re sum_k k^2 g_k.
     """
-    d = (len(g) - 1) // 2
-    lower = -np.cumsum(np.cumsum(g[:d]))  # exponents -(d-1)..0 of the quotient
-    return np.concatenate([lower, np.conj(lower[-2::-1])])
+    m = len(vals)
+    k = np.arange(len(g)) - (len(g) - 1) // 2
+    out = np.empty(m)
+    out[0] = -0.5 * float(np.dot(k * k, g.real))
+    out[1:] = (vals[1:] - g.sum().real) / (4.0 * np.sin(np.pi * np.arange(1, m) / m) ** 2)
+    return out
 
 
-def _weiss_factor(g: np.ndarray) -> np.ndarray:
-    """Outer polynomial h of degree (len(g) - 1) / 2 with |h|^2 = g on the circle.
+def _weiss_factor(vals: np.ndarray, degree: int) -> np.ndarray:
+    """Outer polynomial h of the given degree with |h|^2 = vals on the circle grid.
 
-    Grid values at or below zero, which a factorable g has only off the
-    grid, are raised to the smallest positive one (at most 1) so the log
-    stays finite; the residual check then reports how far that got.
+    Grid values at or below zero, which a factorable defect has only off
+    the grid, are raised to the smallest positive one (at most 1) so the
+    log stays finite; the residual check then reports how far that got.
     """
-    d = (len(g) - 1) // 2
-    m = _grid_size(d)
-    vals = _laurent_values(g, m)
+    m = len(vals)
     vals = np.maximum(vals, np.min(vals, where=vals > 0.0, initial=1.0))
     ell = np.fft.fft(np.log(vals)) / m
     half = np.zeros(m, dtype=complex)
     half[0] = 0.5 * ell[0]
     half[1 : m // 2] = ell[1 : m // 2]
     half[m // 2] = 0.5 * ell[m // 2]
-    return (np.fft.fft(np.exp(m * np.fft.ifft(half))) / m)[: d + 1]
+    return (np.fft.fft(np.exp(m * np.fft.ifft(half))) / m)[: degree + 1]
 
 
 def _fix_leading_phase(phi: np.ndarray) -> np.ndarray:

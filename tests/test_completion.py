@@ -185,6 +185,7 @@ class TestPartnerDegree:
     @example(k=64, epsilon=1e-3)  # degree 770
     @example(k=128, epsilon=1e-3)  # degree 1547
     @example(k=256, epsilon=1e-3)  # degree 3101
+    @example(k=2367, epsilon=0.5)  # t = 4097, n = 1: degree 4096, the cap
     @settings(max_examples=20, deadline=None)
     def test_plan_kernels_complete_at_full_degree(self, k, epsilon):
         plan = select_parameters(GapSpec(math.pi / k, epsilon=epsilon))

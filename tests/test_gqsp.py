@@ -133,7 +133,7 @@ class TestReconstruct:
         assert np.max(np.abs(pa**2 + qa**2 - 1.0)) <= 1e-12
 
 
-class TestBranchPair:
+class TestMirroredBranches:
     """The minus branch is the plus branch with every theta negated, as `Synthesis.branches` builds it."""
 
     def test_trivial_kernel_gives_identical_branches(self):

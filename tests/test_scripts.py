@@ -66,6 +66,10 @@ class TestDiscrepancyExperiment:
     @pytest.mark.parametrize("flag, value, message", [
         ("--deltas", "4", "delta must lie in (0, pi], got 4.0"),
         ("--epsilons", "abc", "--epsilons holds a value that is not a number: 'abc'"),
+        ("--deltas", "0.001", "plan degree 16308 exceeds the cap of 4096"),
+        # a 302-digit degree; its leading digits name it
+        ("--deltas", "1e-300", "plan degree 16309690970754271396"),
+        ("--deltas", "1e-320", "delta 1e-320 is too small: the averaging length overflows"),
     ])
     def test_bad_grid_value_exits_two(self, flag, value, message):
         proc = run_script("discrepancy_experiment.py", flag, value)

@@ -76,7 +76,7 @@ class TestRealize:
         with pytest.raises(ValueError, match="square"):
             realize(CircuitIR((), 0), np.ones((2, 3)))
 
-    def test_compose_multiplies_in_order(self):
+    def test_concatenated_gates_realize_to_the_product_in_order(self):
         u = random_unitary(4, seed=5)
         a = build_w_branches(2, 1)[0]
         b = adjoint(a)
@@ -207,12 +207,12 @@ class TestSpectralNorm:
         with pytest.raises(ValueError):
             spectral_norm(np.ones(4))
 
-    def test_large_matrix_path(self):
+    def test_large_diagonal_norm_is_its_largest_entry(self):
         # a known diagonal keeps the answer exact
         d = np.linspace(0.1, 2.0, 300)
         assert spectral_norm(np.diag(d)) == pytest.approx(2.0, abs=1e-9)
 
-    def test_zero_matrix_large_path(self):
+    def test_large_zero_matrix_norm_is_zero(self):
         assert spectral_norm(np.zeros((300, 300))) == 0.0
 
     def test_large_residual_sized_matrix_matches_svd(self):
