@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import ComplexPolynomial, eval_on_circle_grid
+from .poly import ComplexPolynomial, _grid_size, eval_on_circle_grid
 
 __all__ = [
     "TrigPolynomial",
@@ -161,20 +161,6 @@ def completion_residual(upsilon: ComplexPolynomial, phi: ComplexPolynomial, m: i
     u = np.abs(eval_on_circle_grid(upsilon, m)) ** 2
     p = np.abs(eval_on_circle_grid(phi, m)) ** 2
     return float(np.max(np.abs(u + p - 1.0)))
-
-
-def _grid_size(d: int) -> int:
-    """Circle points for the checks and the Weiss step at degree d.
-
-    The smallest power of two, at least 64, not below 16 * (2d + 1).
-    A power of two keeps the FFTs on numpy's fast path; 16 * (2d + 1)
-    itself takes the several times slower chirp-z one whenever 2d + 1
-    has a large prime factor.
-    """
-    m = 64
-    while m < 16 * (2 * d + 1):
-        m *= 2
-    return m
 
 
 def _divide_by_one_minus_z_squared(g: np.ndarray, vals: np.ndarray) -> np.ndarray:

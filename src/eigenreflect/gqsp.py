@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .completion import _grid_size, completion_residual
-from .poly import ComplexPolynomial
+from .completion import completion_residual
+from .poly import ComplexPolynomial, _grid_size
 
 __all__ = [
     "TOP_TOL",

@@ -4,8 +4,8 @@ The target eigenspace is isolated by powers of a uniform averaging
 kernel on the unit circle: once the kernel length t is large enough,
 the kernel modulus stays below 1/e everywhere outside the gap, so n
 powers push the leakage below any requested budget.  This module owns
-the kernel-power family, the (t, n) selection rule, and the grid
-evaluation utilities shared by the completion and verification stages.
+the kernel-power family, the (t, n) selection rule, the circle-grid
+evaluator, and the one rule that sizes every circle grid.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
-
-OVERSAMPLE = 32  # grid points per degree + 1 in `max_modulus_outside_gap`
 
 __all__ = [
     "ComplexPolynomial",
@@ -73,6 +70,8 @@ class GapSpec:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
+        if abs(self.theta) > math.pi:  # wrapped; one in [-pi, pi] stays bit for bit
+            object.__setattr__(self, "theta", math.atan2(math.sin(self.theta), math.cos(self.theta)))
 
 
 @dataclass(frozen=True)
@@ -156,15 +155,29 @@ def eval_on_circle_grid(poly: ComplexPolynomial, m: int) -> np.ndarray:
 def max_modulus_outside_gap(poly: ComplexPolynomial, delta: float) -> float:
     """Grid estimate of max |poly(e^{i lam})| over delta <= |lam| <= pi.
 
-    Samples OVERSAMPLE * (degree + 1) points per arc, endpoints
-    included, so the delta and pi boundaries are always hit.  This is a
-    dense-grid estimate of the supremum, not a certified bound.
+    Reads the arc off the circle grid refined fourfold (4 * _grid_size
+    points, pi among them) and adds its ends e^{+-i delta}, evaluated
+    directly.  A dense-grid estimate of the supremum, not a certified bound.
     """
     if not 0.0 < delta <= math.pi:
         raise ValueError(f"delta must lie in (0, pi], got {delta!r}")
-    npts = OVERSAMPLE * (poly.degree + 1)
-    lam = np.linspace(delta, math.pi, npts)
+    m = 4 * _grid_size(poly.degree)
+    first = math.ceil(delta * m / (2.0 * math.pi))  # first grid point on the arc
     c = poly.as_array()
-    upper = npoly.polyval(np.exp(1j * lam), c)
-    lower = npoly.polyval(np.exp(-1j * lam), c)
-    return float(np.max(np.abs(np.concatenate([upper, lower]))))
+    ends = np.exp(np.outer([1j * delta, -1j * delta], np.arange(c.size))) @ c
+    arc = np.concatenate([eval_on_circle_grid(poly, m)[first : m - first + 1], ends])
+    return float(np.max(np.abs(arc)))
+
+
+def _grid_size(d: int) -> int:
+    """Circle points for the completion's checks and Weiss step at degree d.
+
+    The smallest power of two, at least 64, not below 16 * (2d + 1); the
+    kernel peak takes four times as many.  A power of two keeps the FFTs on
+    numpy's fast path; 16 * (2d + 1) itself takes the several times slower
+    chirp-z one whenever 2d + 1 has a large prime factor.
+    """
+    m = 64
+    while m < 16 * (2 * d + 1):
+        m *= 2
+    return m

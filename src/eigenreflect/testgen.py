@@ -35,6 +35,8 @@ class SpectrumSpec:
             raise ValueError("target_multiplicity must be in [1, dim]")
         if not 0.0 < self.delta <= math.pi:
             raise ValueError(f"delta must lie in (0, pi], got {self.delta!r}")
+        if math.isfinite(self.theta) and abs(self.theta) > math.pi:  # as GapSpec wraps it
+            object.__setattr__(self, "theta", math.atan2(math.sin(self.theta), math.cos(self.theta)))
 
 
 def random_gapped_unitary(spec: SpectrumSpec) -> np.ndarray:

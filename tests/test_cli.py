@@ -370,6 +370,30 @@ class TestVerify:
         assert cmp["paper"]["max_modulus_outside_gap"] == pytest.approx(1.0)
         assert cmp["corrected"]["degree"] > cmp["paper"]["degree"]
 
+    def test_uncapped_comparison_kernel(self, tmp_path):
+        # the corrected kernel is built with no degree cap; its peak is read
+        # off the circle grid, not sampled point by point
+        out = tmp_path / "report.json"
+        code = main([
+            "verify", "--use-paper-t-formula", "--delta", "0.0021", "--epsilon", "0.1",
+            "--dim", "4", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        cmp = json.loads(out.read_text())["t_formula_comparison"]
+        assert cmp["corrected"]["degree"] == 7764
+        assert cmp["corrected"]["within_epsilon"] is True
+        assert cmp["paper"]["degree"] == 1941
+        assert cmp["paper"]["within_epsilon"] is False
+
+    @pytest.mark.parametrize("theta", [7.0, 1e12, 1e17])
+    def test_theta_beyond_half_turn_matches_its_reduction(self, tmp_path, theta):
+        reduced = math.atan2(math.sin(theta), math.cos(theta))
+        flags = ["verify", "--delta", "1", "--epsilon", "0.1", "--dim", "4"]
+        raw, wrapped = tmp_path / "raw.json", tmp_path / "wrapped.json"
+        assert main([*flags, "--theta", repr(theta), "--out", str(raw)]) == EXIT_OK
+        assert main([*flags, "--theta", repr(reduced), "--out", str(wrapped)]) == EXIT_OK
+        assert raw.read_bytes() == wrapped.read_bytes()
+
     @pytest.mark.parametrize("k, degree", [(16, 189), (64, 770)])
     def test_high_degree_block_matches_oracle(self, tmp_path, k, degree):
         # the kernel's top coefficient t^-n is 1.9e-12 at degree 189 and
@@ -613,7 +637,7 @@ class TestVerify:
         assert code == EXIT_CONFIG
 
     def test_oversample_is_an_unknown_flag(self, tmp_path, capsys):
-        # the comparison's grid density is fixed (poly.OVERSAMPLE)
+        # the comparison reads its peaks off the circle grid rule (poly._grid_size)
         out = tmp_path / "report.json"
         args = ["verify", "--dim", "4", "--delta", "1", "--epsilon", "0.1", "--out", str(out)]
         for extra in ([], ["--use-paper-t-formula"]):
@@ -688,6 +712,14 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: sweep needs a nonempty --deltas\n"
+
+    def test_theta_beyond_half_turn(self, tmp_path):
+        code, rows, _ = self.run_sweep(
+            tmp_path, deltas="1", epsilons="0.1", dims="4,16", seeds="0,1", theta="1e12"
+        )
+        assert code == EXIT_OK
+        assert len(rows) == 4
+        assert all(r["satisfied"] == "true" for r in rows)
 
     def test_failed_row_exit_code(self, tmp_path, capsys):
         code, rows, text = self.run_sweep(
@@ -1024,9 +1056,10 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["degree"] == 9
 
-    def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
-        # the program runs on numpy alone: importing the cli, and a verify
-        # and a sweep run through it, load no scipy module
+    def test_cli_import_leaves_scipy_and_numpy_polynomial_unloaded(self, tmp_path):
+        # the program runs on numpy alone and samples the circle by FFT:
+        # importing the cli, and a verify and a sweep run through it, load
+        # no scipy module and no numpy.polynomial one
         script = (
             "import sys\n"
             "from eigenreflect.cli import main\n"
@@ -1036,6 +1069,8 @@ class TestEntryPoints:
             "assert main(['sweep', '--deltas', '1.0', '--epsilons', '0.1', '--dims', '4',\n"
             "             '--seeds', '0', '--csv-out', sys.argv[2]]) == 0\n"
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))\n"
             "assert not loaded, loaded\n"
         )
         proc = subprocess.run(

@@ -57,6 +57,16 @@ class TestGapSpec:
         with pytest.raises(ValueError, match="theta must be finite"):
             GapSpec(delta=1.0, epsilon=0.5, theta=theta)
 
+    @pytest.mark.parametrize("theta", [7.0, -7.0, 1e17])
+    def test_theta_beyond_half_turn_is_reduced(self, theta):
+        gap = GapSpec(delta=1.0, epsilon=0.5, theta=theta)
+        assert gap.theta == math.atan2(math.sin(theta), math.cos(theta))
+        assert -math.pi <= gap.theta <= math.pi
+
+    @pytest.mark.parametrize("theta", [0.3, math.pi, -math.pi])
+    def test_theta_within_half_turn_is_kept(self, theta):
+        assert GapSpec(delta=1.0, epsilon=0.5, theta=theta).theta == theta
+
 
 class TestSelectParameters:
     def test_quarter_turn_point_one(self):
@@ -210,3 +220,36 @@ class TestMaxModulusOutsideGap:
     def test_rejects_bad_arc(self):
         with pytest.raises(ValueError):
             max_modulus_outside_gap(ComplexPolynomial((1.0,)), 0.0)
+
+    @pytest.mark.parametrize(
+        "delta, epsilon, paper",
+        [
+            (0.0021, 0.1, False),  # degree 7,764, the comparison's corrected kernel
+            (0.0021, 0.1, True),
+            (0.05, 0.5, False),
+            (math.pi / 8, 1e-3, False),
+            (1.0, 1e-2, True),
+            (3.1, 1e-3, False),
+            (math.pi - 1e-9, 1e-3, False),
+            (math.pi, 0.1, False),
+        ],
+    )
+    def test_matches_closed_form_peak(self, delta, epsilon, paper):
+        # |kernel(e^{i lam})| = |sin(t lam / 2) / (t sin(lam / 2))|^n; its
+        # peak on delta <= lam <= pi is taken on a fine arc grid, then
+        # refined three times around the largest sample
+        plan = select_parameters(
+            GapSpec(delta=delta, epsilon=epsilon), use_paper_t_formula=paper
+        )
+
+        def closed_form(lam):
+            return np.abs(np.sin(plan.t * lam / 2) / (plan.t * np.sin(lam / 2))) ** plan.n
+
+        lam = np.linspace(delta, math.pi, 2_000_001)
+        for _ in range(3):
+            best = lam[np.argmax(closed_form(lam))]
+            step = lam[1] - lam[0]
+            lam = np.linspace(max(delta, best - step), min(math.pi, best + step), 2001)
+        ref = float(np.max(closed_form(lam)))
+        peak = max_modulus_outside_gap(build_upsilon(plan.t, plan.n), delta)
+        assert (1 - 1e-3) * ref <= peak <= (1 + 1e-12) * ref

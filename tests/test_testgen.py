@@ -34,6 +34,22 @@ class TestSpectrumSpec:
         with pytest.raises(ValueError):
             SpectrumSpec(**kwargs)
 
+    @pytest.mark.parametrize("theta", [7.0, -7.0, 1e17])
+    def test_theta_beyond_half_turn_is_reduced(self, theta):
+        spec = SpectrumSpec(dim=4, delta=1.0, theta=theta)
+        assert spec.theta == math.atan2(math.sin(theta), math.cos(theta))
+        assert -math.pi <= spec.theta <= math.pi
+
+    @pytest.mark.parametrize("theta", [0.3, math.pi, -math.pi])
+    def test_theta_within_half_turn_is_kept(self, theta):
+        assert SpectrumSpec(dim=4, delta=1.0, theta=theta).theta == theta
+
+    def test_huge_theta_keeps_the_gap(self):
+        # offsets added to an unreduced 1e17 vanish against its ulp of 16
+        spec = SpectrumSpec(dim=4, delta=1.0, theta=1e17, seed=0)
+        s = decompose(random_gapped_unitary(spec))
+        assert validate_gap(s, GapSpec(delta=1.0, theta=1e17)) == 1
+
 
 class TestRandomGappedUnitary:
     def test_single_phase_instance_is_a_scalar(self):
