@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Union
 
-from .completion import DEFAULT_COMPLETION_TOL, CompletionResult, factorize, gram_polynomial
+from .completion import CompletionResult, factorize, gram_polynomial
 from .gqsp import GQSPAngleSequence, synthesize_angles
 from .poly import ComplexPolynomial, GapSpec, ReflectionPlan, build_upsilon, select_parameters
 
@@ -197,15 +197,12 @@ class Synthesis:
         return plus, replace(plus, thetas=tuple(-t for t in plus.thetas))
 
 
-def synthesize(
-    gap: GapSpec, *, use_paper_t_formula: bool = False,
-    completion_tol: float = DEFAULT_COMPLETION_TOL,
-) -> Synthesis:
+def synthesize(gap: GapSpec, *, use_paper_t_formula: bool = False) -> Synthesis:
     """Plan (t, n), build and complete the kernel, peel the plus branch; the record builds the circuit.
 
     Raises ValueError, before anything is built, when the plan's degree
     (t - 1) n exceeds MAX_DEGREE, and CompletionError when the
-    completion misses completion_tol.
+    completion residual exceeds completion.DEFAULT_COMPLETION_TOL.
     """
     plan = select_parameters(gap, use_paper_t_formula=use_paper_t_formula)
     if plan.degree > MAX_DEGREE:
@@ -214,5 +211,5 @@ def synthesize(
             "widen delta or raise epsilon"
         )
     kernel = build_upsilon(plan.t, plan.n)
-    completion = factorize(gram_polynomial(kernel), tol=completion_tol)
+    completion = factorize(gram_polynomial(kernel))
     return Synthesis(plan, kernel, completion, synthesize_angles(kernel, completion.phi))

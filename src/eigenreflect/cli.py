@@ -41,7 +41,7 @@ from .circuit import (
     predicted_counts,
     synthesize,
 )
-from .completion import DEFAULT_COMPLETION_TOL, CompletionError
+from .completion import CompletionError
 from .gqsp import ROTATION_CONVENTION, GQSPAngleSequence
 from .oracle import GapViolation, TargetAbsent, VerificationReport, verify_reflection
 from .poly import (
@@ -187,7 +187,10 @@ def load_matrix(path: str) -> np.ndarray:
         parts = np.asarray([data["re"], data["im"]], dtype=float)
     except (KeyError, TypeError, ValueError):
         parts = np.zeros(0)  # reported as a shape mismatch below
-    if parts.shape != (2, dim, dim):
+    # numpy reads true and "1" as 1.0: only JSON numbers are entries
+    if parts.shape != (2, dim, dim) or not {
+        type(x) for key in ("re", "im") for row in data[key] for x in row
+    } <= {int, float}:
         raise ValueError(f"matrix file {path!r}: 're' and 'im' must be {dim} x {dim} numbers")
     if not np.isfinite(parts).all():
         raise ValueError(f"matrix file {path!r}: entries must be finite")
@@ -320,9 +323,7 @@ def cmd_plan(cfg: JobConfig) -> int:
 
 
 def cmd_synth(cfg: JobConfig) -> int:
-    syn = synthesize(
-        cfg.gap, use_paper_t_formula=cfg.use_paper_t_formula, completion_tol=cfg.completion_tol
-    )
+    syn = synthesize(cfg.gap, use_paper_t_formula=cfg.use_paper_t_formula)
     _emit(cfg.circuit_out or "circuit.json", _render_json(_circuit_payload(syn.circuit)) + "\n")
     _emit(cfg.angles_out or "angles.json", _render_json(_angles_payload(syn)) + "\n")
     return EXIT_OK
@@ -336,9 +337,7 @@ def cmd_verify(cfg: JobConfig) -> int:
         multiplicity = 1 if cfg.multiplicity is None else cfg.multiplicity
         spec = SpectrumSpec(cfg.dim, gap.delta, gap.theta, multiplicity, cfg.seed or 0)
         u = random_gapped_unitary(spec)
-    syn = synthesize(
-        gap, use_paper_t_formula=cfg.use_paper_t_formula, completion_tol=cfg.completion_tol
-    )
+    syn = synthesize(gap, use_paper_t_formula=cfg.use_paper_t_formula)
     report = verify_reflection(u, syn)
     payload = _report_payload(report, _formula_name(cfg.use_paper_t_formula))
     if cfg.use_paper_t_formula:  # the discrepancy experiment: both kernels side by side
@@ -393,9 +392,7 @@ def _sweep_row(
         key = (delta, epsilon)
         if key not in cache:
             gap = GapSpec(delta=delta, epsilon=epsilon, theta=cfg.theta)
-            cache[key] = synthesize(
-                gap, use_paper_t_formula=cfg.use_paper_t_formula, completion_tol=cfg.completion_tol
-            )
+            cache[key] = synthesize(gap, use_paper_t_formula=cfg.use_paper_t_formula)
         syn = cache[key]
         cells["t"] = str(syn.plan.t)
         cells["n"] = str(syn.plan.n)
@@ -491,11 +488,6 @@ class JobConfig:
     use_paper_t_formula: bool = _option(
         "plan synth verify sweep", _switch,
         "use the literal published averaging length instead of the corrected one", False,
-    )
-    completion_tol: float = _option(
-        "synth verify sweep", _real,
-        f"max allowed completion residual (default {DEFAULT_COMPLETION_TOL:g})",
-        DEFAULT_COMPLETION_TOL, ("finite and > 0", lambda x: math.isfinite(x) and x > 0),
     )
     out: str | None = _option("plan verify", os.fspath, "output JSON path ('-' for stdout)")
     circuit_out: str | None = _option("synth", os.fspath, "circuit JSON path")

@@ -21,7 +21,6 @@ from .sim import (
     _apply_gates,
     _gram_defect,
     _require_unitary,
-    pue_block,
     spectral_norm,
 )
 
@@ -237,7 +236,7 @@ def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport
     bound = 4.0 * gap.epsilon
 
     shifted = replace(s, eigenphases=s.eigenphases - gap.theta)
-    block_vs_oracle = spectral_norm(pue_block(w_plus) - apply_poly(shifted, synthesis.kernel))
+    block_vs_oracle = spectral_norm(a - apply_poly(shifted, synthesis.kernel))
 
     return VerificationReport(
         measured_error=measured,

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .poly import GapSpec
+
 __all__ = ["GAP_MARGIN_FRACTION", "SpectrumSpec", "random_gapped_unitary"]
 
 GAP_MARGIN_FRACTION = 0.05  # non-target phases stay this far beyond the arc
@@ -33,10 +35,8 @@ class SpectrumSpec:
             raise ValueError("dim must be at least 1")
         if not 1 <= self.target_multiplicity <= self.dim:
             raise ValueError("target_multiplicity must be in [1, dim]")
-        if not 0.0 < self.delta <= math.pi:
-            raise ValueError(f"delta must lie in (0, pi], got {self.delta!r}")
-        if math.isfinite(self.theta) and abs(self.theta) > math.pi:  # as GapSpec wraps it
-            object.__setattr__(self, "theta", math.atan2(math.sin(self.theta), math.cos(self.theta)))
+        # GapSpec's rule: delta in (0, pi], theta finite and reduced into [-pi, pi]
+        object.__setattr__(self, "theta", GapSpec(self.delta, self.theta).theta)
 
 
 def random_gapped_unitary(spec: SpectrumSpec) -> np.ndarray:

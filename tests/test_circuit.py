@@ -1,11 +1,13 @@
 """Structural checks on the gate-level representation."""
 
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from eigenreflect import circuit
 from eigenreflect.circuit import (
     AncillaRotation,
     CircuitIR,
@@ -197,9 +199,11 @@ class TestSynthesize:
         assert len(plus.gates) == 2 * syn.plan.degree + 1
         assert syn.circuit.gates[: len(plus.gates)] == plus.gates
 
-    def test_completion_tol_is_applied(self):
+    def test_completion_tol_is_applied(self, monkeypatch):
+        # the real completion, held to a residual no plan reaches
+        monkeypatch.setattr(circuit, "factorize", functools.partial(factorize, tol=1e-18))
         with pytest.raises(CompletionError):
-            synthesize(GapSpec(math.pi / 2, epsilon=0.01), completion_tol=1e-18)
+            synthesize(GapSpec(math.pi / 2, epsilon=0.01))
 
     def test_paper_formula_is_forwarded(self):
         syn = synthesize(GapSpec(math.pi / 2, epsilon=0.5), use_paper_t_formula=True)

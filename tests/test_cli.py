@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import eigenreflect
-from eigenreflect import circuit
+from eigenreflect import circuit, completion
 from eigenreflect.circuit import MAX_DEGREE
 from eigenreflect import cli
 from eigenreflect.cli import (
@@ -37,6 +38,8 @@ from eigenreflect.testgen import SpectrumSpec, random_gapped_unitary
 
 PI_HALF = repr(math.pi / 2)
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# the real completion, held to a residual no plan reaches
+UNREACHABLE_FACTORIZE = functools.partial(completion.factorize, tol=1e-18)
 
 
 def child_env():
@@ -277,17 +280,6 @@ class TestSynth:
         circ = json.loads(c.read_text())
         assert [g["g"] for g in circ["gates"]] == ["rot", "rot"]
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
-    def test_non_positive_completion_tol_is_config_error(self, tmp_path, capsys, tol):
-        code, c, _ = self.synth(
-            tmp_path, "--delta", "0.5", "--epsilon", "0.1", f"--completion-tol={tol}"
-        )
-        assert code == EXIT_CONFIG
-        assert not c.exists()
-        err = capsys.readouterr().err
-        assert f"error: --completion-tol must be finite and > 0, got {float(tol)!r}" in err
-        assert "completion failed" not in err
-
     @pytest.mark.parametrize("delta", ["1e-6", "1e-300"])
     def test_degree_above_cap_is_config_error(self, tmp_path, capsys, monkeypatch, delta):
         def refuse(*args):
@@ -432,12 +424,15 @@ class TestVerify:
         assert main(["verify", *flags, "--out", str(second)]) == EXIT_OK
         assert first.read_bytes() == second.read_bytes()
 
-    def test_unreachable_completion_tolerance(self, tmp_path):
+    def test_unreachable_completion_tolerance(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(circuit, "factorize", UNREACHABLE_FACTORIZE)
+        out = tmp_path / "r.json"
         code = main([
-            "verify", "--dim", "4", "--delta", PI_HALF, "--epsilon", "0.01",
-            "--completion-tol", "1e-18", "--out", str(tmp_path / "r.json"),
+            "verify", "--dim", "4", "--delta", PI_HALF, "--epsilon", "0.01", "--out", str(out),
         ])
         assert code == EXIT_COMPLETION
+        assert capsys.readouterr().err.startswith("error: completion failed: ")
+        assert not out.exists()
 
     def test_gap_violation_exit_code(self, tmp_path, capsys):
         m = tmp_path / "u.json"
@@ -620,6 +615,38 @@ class TestVerify:
         assert err.startswith(f"error: matrix file {str(m)!r}: ")
         assert problem in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"dim": 1, "re": [[true]], "im": [[false]]}',
+            '{"dim": 1, "re": [["1"]], "im": [[0]]}',
+            '{"dim": 2, "re": [[1, 0], [0, true]], "im": [[0, 0], [0, 0]]}',
+        ],
+        ids=["bools", "string", "one-bool"],
+    )
+    def test_matrix_entry_that_is_not_a_number(self, tmp_path, capsys, content):
+        # numpy would read each of these as a float
+        m, out = tmp_path / "u.json", tmp_path / "r.json"
+        m.write_text(content)
+        dim = json.loads(content)["dim"]
+        code = main([
+            "verify", "--matrix", str(m), "--delta", "1.0", "--epsilon", "0.1", "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: matrix file {str(m)!r}: 're' and 'im' must be {dim} x {dim} numbers\n"
+        )
+        assert not out.exists()
+
+    def test_matrix_of_json_integers(self, tmp_path):
+        m, out = tmp_path / "u.json", tmp_path / "r.json"
+        m.write_text('{"dim": 1, "re": [[1]], "im": [[0]]}')
+        code = main([
+            "verify", "--matrix", str(m), "--delta", "1.0", "--epsilon", "0.1", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["target_multiplicity"] == 1
+
     @pytest.mark.parametrize("content", [b"x", b'{"dim": 1,', b"\xff\xfe"])
     def test_matrix_file_that_is_not_json(self, tmp_path, capsys, content):
         m = tmp_path / "bad.json"
@@ -755,6 +782,15 @@ class TestSweep:
         assert main(args) == EXIT_CONFIG
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unreachable_completion_tolerance_fails_rows(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(circuit, "factorize", UNREACHABLE_FACTORIZE)
+        code, rows, _ = self.run_sweep(tmp_path, deltas="1", epsilons="0.1", dims="4", seeds="0,1")
+        assert code == EXIT_SWEEP_ROWS_FAILED
+        assert [r["measured_error"] for r in rows] == ["", ""]
+        err = capsys.readouterr().err
+        assert err.count("failed: residual ") == 2
+        assert "2 row(s) failed to run" in err
 
     def test_degree_above_cap_fails_its_row(self, tmp_path, capsys):
         code, rows, _ = self.run_sweep(
@@ -905,9 +941,8 @@ class TestConfigFile:
             ("plan", {"delta": 1.0, "epsilon": True}, "epsilon"),
             ("plan", {"delta": 1.0, "epsilon": "small"}, "epsilon"),
             ("plan", {"delta": 1.0, "epsilon": 0.1, "theta": False}, "theta"),
-            ("synth", {"delta": 1.0, "epsilon": 0.1, "completion_tol": True}, "completion_tol"),
-            ("synth", {"delta": 1.0, "epsilon": 0.1, "completion_tol": [1e-10]},
-             "completion_tol"),
+            ("synth", {"delta": 1.0, "epsilon": 0.1, "theta": True}, "theta"),
+            ("synth", {"delta": 1.0, "epsilon": 0.1, "theta": [1e-10]}, "theta"),
             ("verify", {"delta": 1.0, "epsilon": 0.1, "matrix": ["u.json"]}, "matrix"),
             ("synth", {"delta": 1.0, "epsilon": 0.1, "circuit_out": ["c.json"]}, "circuit_out"),
             ("synth", {"delta": 1.0, "epsilon": 0.1, "angles_out": 7}, "angles_out"),
@@ -938,6 +973,20 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert captured.err == f"error: config file {str(cfg)!r} has unknown key 'oversampel'\n"
         assert captured.out == ""
+
+    def test_completion_tol_key_is_unknown(self, tmp_path, capsys):
+        # the completion has one tolerance, completion.DEFAULT_COMPLETION_TOL
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 1.0, "epsilon": 0.1, "completion_tol": 1e-8}))
+        c, a = tmp_path / "c.json", tmp_path / "a.json"
+        code = main([
+            "synth", "--config", str(cfg), "--circuit-out", str(c), "--angles-out", str(a),
+        ])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: config file {str(cfg)!r} has unknown key 'completion_tol'\n"
+        )
+        assert not c.exists() and not a.exists()
 
     def test_key_of_another_subcommand_is_known(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1007,16 +1056,11 @@ class TestParser:
         }
         assert flags == {
             "plan": shared | gap | {"--out"},
-            "synth": shared | gap | {"--completion-tol", "--circuit-out", "--angles-out"},
-            "verify": shared | gap | {
-                "--completion-tol", "--matrix", "--dim", "--multiplicity",
-                "--seed", "--out",
-            },
-            "sweep": shared | {
-                "--completion-tol", "--deltas", "--epsilons", "--dims", "--seeds", "--csv-out",
-            },
+            "synth": shared | gap | {"--circuit-out", "--angles-out"},
+            "verify": shared | gap | {"--matrix", "--dim", "--multiplicity", "--seed", "--out"},
+            "sweep": shared | {"--deltas", "--epsilons", "--dims", "--seeds", "--csv-out"},
         }
-        assert sum(map(len, flags.values())) == 34
+        assert sum(map(len, flags.values())) == 31
 
     @pytest.mark.parametrize(
         "argv",
@@ -1028,9 +1072,15 @@ class TestParser:
              "--csv-out", "-"],
             ["sweep", "--deltas", "1", "--epsilons", "0.1", "--dims", "4", "--seeds", "0",
              "--oversample", "64", "--csv-out", "-"],
+            ["synth", "--delta", "0.5", "--epsilon", "0.1", "--completion-tol", "1e-8"],
+            ["verify", "--delta", "0.5", "--epsilon", "0.1", "--dim", "4",
+             "--completion-tol", "1e-8", "--out", "-"],
+            ["sweep", "--deltas", "1", "--epsilons", "0.1", "--dims", "4", "--seeds", "0",
+             "--completion-tol", "1e-8", "--csv-out", "-"],
         ],
         ids=["plan-oversample", "plan-completion-tol", "synth-oversample", "sweep-delta",
-             "sweep-oversample"],
+             "sweep-oversample", "synth-completion-tol", "verify-completion-tol",
+             "sweep-completion-tol"],
     )
     def test_flag_the_subcommand_does_not_read_is_refused(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -44,6 +44,11 @@ class TestSpectrumSpec:
     def test_theta_within_half_turn_is_kept(self, theta):
         assert SpectrumSpec(dim=4, delta=1.0, theta=theta).theta == theta
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValueError, match=f"theta must be finite, got {theta!r}"):
+            SpectrumSpec(dim=4, delta=1.0, theta=theta)
+
     def test_huge_theta_keeps_the_gap(self):
         # offsets added to an unreduced 1e17 vanish against its ulp of 16
         spec = SpectrumSpec(dim=4, delta=1.0, theta=1e17, seed=0)
