@@ -4,7 +4,7 @@ For a polynomial p bounded by 1 in modulus on the unit circle, find a
 partner q of no larger degree with |p|^2 + |q|^2 = 1 on the circle.
 The defect 1 - |p|^2 is a nonnegative trigonometric polynomial, so it
 factors as a squared modulus.  Its values on one dense circle grid feed
-both the factorization and the residual check.
+the nonnegativity check, the factorization and the residual check.
 
 The averaging kernel's defect g vanishes on the circle only at z = 1,
 where it has a double zero.  That zero is divided out on the grid: the
@@ -18,9 +18,9 @@ no zero at z = 1, such as that of a polynomial with peak modulus below
 1, is factored the same way without the division.  Multiplying back by
 (1 - z) and reflecting the factor through the circle puts its roots in
 the closed disc, so the partner keeps the full degree with an
-order-one leading coefficient.  A defect that vanishes elsewhere on the
-circle, or dips below zero, factors poorly and is rejected by the
-residual check.
+order-one leading coefficient.  A defect below -1e-9 on the grid is
+rejected before factoring; one that vanishes elsewhere on the circle
+factors poorly and is rejected by the residual check.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ __all__ = [
     "completion_residual",
 ]
 
-DEFAULT_COMPLETION_TOL = 1e-10  # max certified residual a completion may reach
+DEFAULT_COMPLETION_TOL = 1e-10  # max grid residual a completion may reach
 _HERMITIAN_TOL = 1e-13
 _NONNEG_TOL = 1e-9
 _ZERO_AT_ONE_TOL = 1e-12  # |defect(1)| below this, relative to max |coeff|
@@ -105,34 +105,32 @@ class CompletionResult:
 def gram_polynomial(upsilon: ComplexPolynomial) -> TrigPolynomial:
     """Laurent coefficients of 1 - |upsilon|^2 on the unit circle.
 
-    Rejects inputs whose modulus exceeds 1 on the circle (grid values of
-    the defect below -1e-9), since no completion exists for them.
+    Nothing is sampled here; `factorize` rejects a modulus above 1.
     """
     c = upsilon.as_array()
     d = upsilon.degree
     auto = np.convolve(c, np.conj(c[::-1]))  # exponents -d..d of |upsilon|^2
     g = -auto
     g[d] += 1.0
-    trig = TrigPolynomial(tuple(g))
-    worst = float(trig.values_on_grid(_grid_size(d)).min())
-    if worst < -_NONNEG_TOL:
-        raise ValueError(f"modulus exceeds 1 on the circle (defect {worst:.3e})")
-    return trig
+    return TrigPolynomial(tuple(g))
 
 
 def factorize(gram: TrigPolynomial, tol: float = DEFAULT_COMPLETION_TOL) -> CompletionResult:
     """Polynomial of degree gram.order whose squared circle modulus is gram.
 
-    The Weiss step and the residual check read one set of grid values.
-    The leading coefficient is rotated to be real and nonnegative, which
-    pins down the otherwise free global phase.  Raises CompletionError,
-    carrying the residual achieved, when the residual exceeds tol; a
-    defect that is not positive off z = 1 ends there.
+    The nonnegativity check (ValueError below -1e-9: a modulus above 1),
+    the Weiss step and the residual check read one set of grid values.
+    The leading coefficient is rotated real and nonnegative, pinning the
+    free global phase.  Raises CompletionError, carrying the residual
+    achieved, when it exceeds tol; a defect not positive off z = 1 ends there.
     """
     g = gram.as_array()
     d = gram.order
     m = _grid_size(d)
     vals = gram.values_on_grid(m)
+    worst = float(vals.min())
+    if worst < -_NONNEG_TOL:
+        raise ValueError(f"modulus exceeds 1 on the circle (defect {worst:.3e})")
     scale = float(np.max(np.abs(g)))
     if scale == 0.0:
         phi = np.zeros(1, dtype=complex)

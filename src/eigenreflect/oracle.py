@@ -40,7 +40,7 @@ __all__ = [
 PHASE_MATCH_TOL = 1e-9  # angular distance under which a phase counts as the target
 _BOUND_SLACK = 1e-8
 _CUT_TOL = 1e-12  # phases this close to -pi are reported as pi
-_U = np.finfo(float).eps / 2  # unit roundoff
+_U = float(np.finfo(float).eps) / 2  # unit roundoff
 
 
 class GapViolation(Exception):

@@ -115,14 +115,14 @@ def select_parameters(gap: GapSpec, *, use_paper_t_formula: bool = False) -> Ref
     instead; it misses the contraction requirement by a factor of four
     and exists only for the documented comparison experiment.
     """
-    n = math.ceil(math.log(1.0 / gap.epsilon))
+    n = math.ceil(-math.log(gap.epsilon))  # 1 / epsilon overflows when epsilon is subnormal
     span = 2.0 * math.sin(0.5 * gap.delta)  # |e^{i delta} - 1|
     factor = 0.5 * math.e if use_paper_t_formula else 2.0 * math.e
     length = factor / span if span > 0.0 else math.inf
     if not math.isfinite(length):
         raise ValueError(f"delta {gap.delta!r} is too small: the averaging length overflows")
     t = math.ceil(length)
-    return ReflectionPlan(gap=gap, t=max(t, 1), n=max(n, 1))
+    return ReflectionPlan(gap=gap, t=t, n=n)
 
 
 def build_upsilon(t: int, n: int) -> ComplexPolynomial:

@@ -23,6 +23,7 @@ from eigenreflect.circuit import (
 )
 from eigenreflect.completion import (
     CompletionError,
+    TrigPolynomial,
     completion_residual,
     factorize,
     gram_polynomial,
@@ -234,3 +235,17 @@ class TestCheckGrids:
         assert lengths
         for m in lengths:
             assert m & (m - 1) == 0 and m >= 16 * (2 * degree + 1), m
+
+    def test_defect_is_sampled_once(self, monkeypatch):
+        # the nonnegativity check, the Weiss step and the residual check
+        # share factorize's one sample of the defect
+        grids = []
+        sample = TrigPolynomial.values_on_grid
+
+        def spy(self, m):
+            grids.append(m)
+            return sample(self, m)
+
+        monkeypatch.setattr(TrigPolynomial, "values_on_grid", spy)
+        synthesize(GapSpec(math.pi / 4, epsilon=1e-3))
+        assert len(grids) == 1

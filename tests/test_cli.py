@@ -231,6 +231,13 @@ class TestPlan:
         assert code == EXIT_OK
         assert doc["degree"] > MAX_DEGREE
 
+    @pytest.mark.parametrize("epsilon, n", [("1e-310", 714), ("5e-324", 745)])
+    def test_subnormal_epsilon(self, tmp_path, epsilon, n):
+        # ln(1 / epsilon) would overflow: 1 / epsilon is inf
+        code, doc = run_plan(tmp_path, "--delta", "1", "--epsilon", epsilon)
+        assert code == EXIT_OK
+        assert (doc["t"], doc["n"]) == (6, n)
+
     @pytest.mark.parametrize("delta", ["1e-320", "5e-324"])
     def test_overflowing_averaging_length_is_config_error(self, tmp_path, capsys, delta):
         code, doc = run_plan(tmp_path, "--delta", delta, "--epsilon", "0.1")
@@ -878,6 +885,37 @@ class TestSweep:
             a.pop("wall_time_ms")
             b.pop("wall_time_ms")
             assert a == b
+
+
+class TestNumericBoundary:
+    DOCUMENTED = {
+        EXIT_OK, EXIT_BOUND_VIOLATED, EXIT_CONFIG, EXIT_COMPLETION,
+        EXIT_GAP_VIOLATION, EXIT_TARGET_ABSENT, EXIT_SWEEP_ROWS_FAILED,
+    }
+
+    @pytest.mark.parametrize("subcommand", ["plan", "synth", "verify", "sweep"])
+    @pytest.mark.parametrize("theta", ["0", "1.7976931348623157e308"])
+    @pytest.mark.parametrize("delta", ["1.0", "1e-300"])
+    @pytest.mark.parametrize("epsilon", ["5e-324", "1e-310"])
+    def test_extreme_inputs_end_in_an_exit_code(self, tmp_path, epsilon, delta, theta, subcommand):
+        # subnormal budgets, a vanishing gap and the largest finite phase
+        out = str(tmp_path / "out")
+        args = {
+            "plan": ["--out", out],
+            "synth": ["--circuit-out", out, "--angles-out", out + ".angles"],
+            "verify": ["--dim", "1", "--out", out],
+        }
+        if subcommand == "sweep":
+            argv = [
+                "sweep", "--deltas", delta, "--epsilons", epsilon, "--dims", "1",
+                "--seeds", "0", "--theta", theta, "--csv-out", out,
+            ]
+        else:
+            argv = [
+                subcommand, "--delta", delta, "--epsilon", epsilon, "--theta", theta,
+                *args[subcommand],
+            ]
+        assert main(argv) in self.DOCUMENTED
 
 
 class TestConfigFile:

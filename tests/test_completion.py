@@ -70,8 +70,9 @@ class TestGramPolynomial:
         )
 
     def test_rejects_modulus_above_one(self):
-        with pytest.raises(ValueError):
-            gram_polynomial(ComplexPolynomial((0.9, 0.3)))
+        gram = gram_polynomial(ComplexPolynomial((0.9, 0.3)))  # forms coefficients only
+        with pytest.raises(ValueError, match="modulus exceeds 1"):
+            factorize(gram)
 
 
 class TestFactorize:
@@ -109,11 +110,16 @@ class TestFactorize:
             assert res.phi.degree <= ups.degree
 
     def test_unreachable_tolerance_reports_achieved_residual(self):
-        # a gram that dips slightly negative has no exact factorization
-        gram = TrigPolynomial((-0.25, 0.5 - 1e-4, -0.25))
+        plan = select_parameters(GapSpec(delta=math.pi / 2, epsilon=1e-2))
         with pytest.raises(CompletionError) as info:
+            factorize(gram_polynomial(build_upsilon(plan.t, plan.n)), tol=1e-18)
+        assert info.value.achieved_residual > 1e-18
+
+    def test_negative_dip_is_rejected_before_factoring(self):
+        # a gram that dips below zero on the grid has no factorization
+        gram = TrigPolynomial((-0.25, 0.5 - 1e-4, -0.25))
+        with pytest.raises(ValueError, match="modulus exceeds 1"):
             factorize(gram, tol=1e-10)
-        assert 1e-6 < info.value.achieved_residual < 1e-2
 
     def test_modulus_profile_is_idempotent(self):
         p, phi = random_complementary_pair(10, seed=3)

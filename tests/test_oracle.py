@@ -1,7 +1,7 @@
 """Spectral ground truth and end-to-end verification verdicts."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -298,6 +298,10 @@ class TestVerifyReflection:
         assert report.unitarity_residual <= 1e-11
         assert report.branch_unitarity_residual <= 1e-11
         assert report.completion_residual <= 1e-10
+        float_fields = [f.name for f in fields(report) if f.type == "float"]
+        assert len(float_fields) == 6
+        for name in float_fields:  # Python floats, not numpy scalars
+            assert type(getattr(report, name)) is float, name
         assert report.oracle_block_residual <= 1e-8
         assert report.target_multiplicity == 3
         assert report.counts.total == 2 * plan.degree + 2 * (plan.degree + 1)

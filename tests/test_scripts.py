@@ -70,6 +70,8 @@ class TestDiscrepancyExperiment:
         # a 302-digit degree; its leading digits name it
         ("--deltas", "1e-300", "plan degree 16309690970754271396"),
         ("--deltas", "1e-320", "delta 1e-320 is too small: the averaging length overflows"),
+        # a subnormal budget plans n = 714 without overflowing
+        ("--epsilons", "1e-310", "plan degree 4998 exceeds the cap of 4096"),
     ])
     def test_bad_grid_value_exits_two(self, flag, value, message):
         proc = run_script("discrepancy_experiment.py", flag, value)
