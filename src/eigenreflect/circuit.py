@@ -16,7 +16,10 @@ pipeline once and keeps every stage in one `Synthesis` record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Union
+
+import numpy as np
 
 from .completion import CompletionResult, factorize, gram_polynomial
 from .gqsp import GQSPAngleSequence, synthesize_angles
@@ -33,6 +36,7 @@ __all__ = [
     "build_reflection",
     "gate_counts",
     "predicted_counts",
+    "walk_coefficients",
     "MAX_DEGREE",
     "Synthesis",
     "synthesize",
@@ -142,22 +146,43 @@ def build_reflection(
 
 
 def gate_counts(c: CircuitIR) -> GateCounts:
-    cu = cud = rot = 0
-    for g in c.gates:
-        if isinstance(g, AncillaRotation):
-            rot += 1
-        elif isinstance(g, ControlledOracle):
-            if g.exponent == 1:
-                cu += 1
-            elif g.exponent == -1:
-                cud += 1
-    return GateCounts(cu, cud, rot)
+    exponents = [g.exponent for g in c.gates if isinstance(g, ControlledOracle)]
+    rotations = sum(isinstance(g, AncillaRotation) for g in c.gates)
+    return GateCounts(exponents.count(1), exponents.count(-1), rotations)
 
 
 def predicted_counts(plan: ReflectionPlan) -> GateCounts:
     """The counts a composite circuit for this plan must tally to."""
     per_branch = plan.predicted_controlled_u_per_branch
     return GateCounts(per_branch, per_branch, plan.predicted_rotations)
+
+
+def walk_coefficients(gates: tuple[Gate, ...]) -> np.ndarray:
+    """The C_k of a run realizing to sum_k C_k (x) U**(e k), stacked read-only as (m + 1, 2, 2).
+
+    The run's m oracles share the exponent e.  From C_0 = I, a rotation left-multiplies
+    every C_k, and an oracle moves the <1| rows a power up, times exp(-i phase_shift).
+    """
+    if len({g.exponent for g in gates if isinstance(g, ControlledOracle)}) > 1:
+        raise ValueError("a run's oracles must share one exponent")
+    c = np.zeros((2, len(gates) + 1, 2), dtype=complex)  # [ancilla bra, power, ancilla ket]
+    c[:, 0] = np.eye(2)
+    k = 0  # the highest power reached
+    for g in gates:
+        if isinstance(g, AncillaRotation):
+            cos, sin = np.cos(g.theta), np.sin(g.theta)
+            el, ep = np.exp(1j * g.lam), np.exp(1j * g.phi)
+            rot = np.array([[el * ep * cos, ep * sin], [el * sin, -cos]])
+            c[:, : k + 1] = (rot @ c[:, : k + 1].reshape(2, -1)).reshape(2, k + 1, 2)
+        elif isinstance(g, ControlledOracle):
+            k += 1
+            c[1, 1 : k + 1] = np.exp(-1j * g.phase_shift) * c[1, :k]
+            c[1, 0] = 0.0
+        else:
+            raise TypeError(f"unknown gate {g!r}")
+    c = np.moveaxis(c[:, : k + 1], 1, 0)
+    c.flags.writeable = False
+    return c
 
 
 @dataclass(frozen=True)
@@ -170,7 +195,8 @@ class Synthesis:
     The circuit is built on construction and cannot be passed in, so
     `dataclasses.replace(record, plus=...)` rebuilds it, and equality and
     hash ignore it.  It is the plus walk, then the adjoint of the minus
-    walk, so its first 2 * degree + 1 gates are the plus branch.
+    walk, so its first 2 * degree + 1 gates are the plus branch, whose
+    `walk_coefficients` (`plus_coefficients`) and `counts` are built once, on first use.
     """
 
     plan: ReflectionPlan
@@ -181,6 +207,14 @@ class Synthesis:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "circuit", build_reflection(self.plan, self.branches))
+
+    @cached_property
+    def counts(self) -> GateCounts:
+        return gate_counts(self.circuit)
+
+    @cached_property
+    def plus_coefficients(self) -> np.ndarray:
+        return walk_coefficients(self.circuit.gates[: 2 * self.plan.degree + 1])
 
     @property
     def branches(self) -> tuple[GQSPAngleSequence, GQSPAngleSequence]:

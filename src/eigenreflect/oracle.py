@@ -14,15 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import CircuitIR, GateCounts, Synthesis, gate_counts, predicted_counts
+from .circuit import GateCounts, Synthesis, predicted_counts
 from .poly import ComplexPolynomial, GapSpec, ReflectionPlan
-from .sim import (
-    UNITARY_TOL,
-    _apply_gates,
-    _gram_defect,
-    _require_unitary,
-    spectral_norm,
-)
+from .sim import UNITARY_TOL, _evaluate_walk, _gram_defect, _require_unitary, spectral_norm
 
 __all__ = [
     "PHASE_MATCH_TOL",
@@ -111,7 +105,8 @@ def decompose(u: np.ndarray, *, gap: GapSpec | None = None) -> SpectralData:
     for any unitary (the solve's norm is then about dim / pi, 82 at
     dim 256).  A phase within `_CUT_TOL` of -pi is the eigenvalue -1 up to
     rounding and is reported as pi.  The reconstruction is re-checked so
-    a silently bad decomposition cannot leak into downstream verdicts.
+    a silently bad decomposition cannot leak into downstream verdicts; its
+    Frobenius norm, never below the spectral norm, costs no SVD.
     """
     u = _require_unitary(u)
     dim = u.shape[0]
@@ -138,7 +133,7 @@ def decompose(u: np.ndarray, *, gap: GapSpec | None = None) -> SpectralData:
     phases[phases <= _CUT_TOL - np.pi] = np.pi
     order = np.argsort(phases, kind="stable")
     data = SpectralData(eigenphases=phases[order], eigenvectors=vectors[:, order])
-    residual = spectral_norm(data.reconstruct() - u)
+    residual = float(np.linalg.norm(data.reconstruct() - u))
     if residual > UNITARY_TOL:
         raise ValueError(f"eigendecomposition failed (residual {residual:.3e})")
     return data
@@ -201,10 +196,10 @@ def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport
     """Full verdict on a synthesized circuit against the ideal reflection.
 
     The record builds its circuit's tail as the adjoint of the plus walk
-    W+'s Z-mirror, so only the head, W+, is realized, gate by gate, from
-    the record's gates; `decompose` checks u unitary, which the
-    realization relies on.  W+'s block is compared with the kernel
-    applied spectrally at phases shifted by theta, the composite's with
+    W+'s Z-mirror, so only the head, W+, is realized, as a polynomial in u
+    with the record's `plus_coefficients`; `decompose` checks u unitary,
+    which the realization relies on.  W+'s block is compared with the
+    kernel applied spectrally at phases shifted by theta, the composite's with
     the reflection through the exact target eigenspace: both verdicts
     rest on the eigenbasis, not on the angles.  The top block of W = (Z W+ Z)^dagger W+ is
     A^dagger A - B^dagger B for W+'s first block column [A; B], Hermitian,
@@ -219,13 +214,12 @@ def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport
     """
     plan = synthesis.plan
     gap = plan.gap
-    head = synthesis.circuit.gates[: 2 * plan.degree + 1]  # the plus branch walk
     s = decompose(u, gap=gap)
     multiplicity = validate_gap(s, gap)
     ideal = 2.0 * exact_projector(s, gap.theta) - np.eye(s.dim)
 
     u = np.asarray(u, dtype=complex)
-    w_plus = _apply_gates(CircuitIR(head, plan.degree), u)
+    w_plus = _evaluate_walk(synthesis.plus_coefficients, u)
     branch_unitarity = _gram_defect(w_plus)
     a, b = w_plus[: s.dim, : s.dim], w_plus[s.dim :, : s.dim]
     top = a.conj().T @ a - b.conj().T @ b - ideal
@@ -242,7 +236,7 @@ def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport
         measured_error=measured,
         bound=bound,
         bound_satisfied=bool(measured <= bound + _BOUND_SLACK),
-        counts=gate_counts(synthesis.circuit),
+        counts=synthesis.counts,
         predicted_counts=predicted_counts(plan),
         completion_residual=synthesis.completion.residual,
         unitarity_residual=unitarity,

@@ -6,30 +6,27 @@ Operators are plain complex ndarrays.  The realized space is
 ancilla bra/ket.  The oracle gate touches the system only when the
 ancilla is |1>, matching the shift convention of the angle synthesis.
 
-`realize` reads the circuit once, building every rotation's 2 x 2
-matrix into one stacked array and each oracle body, exp(-i phase_shift)
-U or its adjoint, once per (exponent, phase_shift).  It keeps the
-running product, which starts from the identity, as one 2 x (2 dim^2)
-array: the row blocks of ancilla bra <0| and <1|, each read flat,
-stacked.  A rotation is one 2 x 2 product over the stacked rows,
-O(dim^2); an oracle gate multiplies the <1| block, viewed as
-dim x 2 dim, by its body in place, one dim x dim by dim x 2 dim product.
-U is used only through such products, never diagonalized: the
+A run of gates whose oracles share one exponent e is the 2 x 2 matrix
+polynomial sum_k C_k (x) U**(e k), with C_k from
+`circuit.walk_coefficients`.  `realize` cuts the gate list where the
+oracle exponent changes, evaluates each run in U or U^dagger by
+Paterson-Stockmeyer (`_evaluate_walk`) and multiplies the runs in
+order.  U is used only through products, never diagonalized: the
 eigenbasis belongs to the oracle path (`oracle.decompose`), and the
 circuit check must not lean on the computation it is compared with.
-Verify never multiplies a reflection's composite out: it reads it off
-the plus walk's blocks (`oracle.verify_reflection`).
+Verify evaluates only the plus walk, from the record's coefficients, and
+reads the composite off its blocks (`oracle.verify_reflection`).
 Written for desk-scale verification, system dims up to 1024 (the CLI's
 MAX_DIM).
 """
 
 from __future__ import annotations
 
-import cmath
+import math
 
 import numpy as np
 
-from .circuit import AncillaRotation, CircuitIR, ControlledOracle
+from .circuit import CircuitIR, ControlledOracle, Gate, walk_coefficients
 
 __all__ = ["UNITARY_TOL", "realize", "pue_block", "spectral_norm"]
 
@@ -52,39 +49,54 @@ def realize(c: CircuitIR, u: np.ndarray) -> np.ndarray:
     Gates listed first act first, so the returned matrix is the product
     of the gate matrices in reverse list order.
     """
-    return _apply_gates(c, _require_unitary(u))
+    u = _require_unitary(u)
+    w = None
+    for run, exponent in _runs(c.gates):
+        w_run = _evaluate_walk(walk_coefficients(run), u if exponent != -1 else u.conj().T)
+        w = w_run if w is None else w_run @ w
+    return w
 
 
-def _apply_gates(c: CircuitIR, u: np.ndarray) -> np.ndarray:
-    """`realize` for a u already checked unitary (a complex ndarray)."""
-    dim = u.shape[0]
-    rows = np.eye(2 * dim, dtype=complex).reshape(2, 2 * dim * dim)  # <0| and <1| blocks, flat
-    angles: list[tuple[float, float, float]] = []
-    steps: list[int | np.ndarray] = []  # a rotation's index in `angles`, or an oracle body
-    bodies: dict[tuple[int, float], np.ndarray] = {}
-    for g in c.gates:
-        if isinstance(g, AncillaRotation):
-            steps.append(len(angles))
-            angles.append((g.theta, g.phi, g.lam))
-        elif isinstance(g, ControlledOracle):
-            key = (g.exponent, g.phase_shift)
-            if key not in bodies:
-                power = u if g.exponent == 1 else u.conj().T
-                bodies[key] = cmath.exp(-1j * g.phase_shift) * power
-            steps.append(bodies[key])
-        else:
-            raise TypeError(f"unknown gate {g!r}")
-    theta, phi, lam = np.array(angles, dtype=float).reshape(-1, 3).T
-    cos, sin = np.cos(theta), np.sin(theta)
-    el, ep = np.exp(1j * lam), np.exp(1j * phi)
-    mats = np.stack((el * ep * cos, ep * sin, el * sin, -cos), axis=-1).reshape(-1, 2, 2)
-    for step in steps:
-        if isinstance(step, int):
-            rows = mats[step] @ rows
-        else:
-            bottom = rows[1].reshape(dim, 2 * dim)
-            bottom[...] = step @ bottom
-    return rows.reshape(2 * dim, 2 * dim)
+def _runs(gates: tuple[Gate, ...]):
+    """(run, exponent) pairs, cut before each oracle whose exponent differs from the last one's."""
+    start, exponent = 0, None
+    for i, g in enumerate(gates):
+        if isinstance(g, ControlledOracle):
+            if exponent not in (None, g.exponent):
+                yield gates[start:i], exponent
+                start = i
+            exponent = g.exponent
+    yield gates[start:], exponent
+
+
+def _evaluate_walk(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k C_k (x) x**k for coeffs[k] = C_k, k <= m, by Paterson-Stockmeyer.
+
+    x, ..., x**s are formed once, s = ceil(sqrt(m + 1)); Horner in x**s runs
+    over the chunks B_q = sum_{l < s} C_{qs+l} (x) x**l, W <- W (I (x) x**s) + B_q,
+    in W itself, one dim x 2 dim ancilla row block at a time.  About
+    (s + 4 (m + 1) / s) dim^3 multiplications against 2 m dim^3 gate by gate
+    (Paterson and Stockmeyer, SIAM J. Comput. 2, 60 (1973); Higham, Functions of
+    Matrices (2008), 4.2).
+    """
+    dim, s = x.shape[0], math.isqrt(len(coeffs) - 1) + 1
+    chunks = np.concatenate([coeffs, np.zeros((-len(coeffs) % s, 2, 2))]).reshape(-1, s, 2, 2)
+    powers = np.empty((dim, s, dim), dtype=complex)  # powers[:, l] = x**(l + 1)
+    powers[:, 0] = x
+    for l in range(1, s):
+        np.matmul(powers[:, l - 1], x, out=powers[:, l])
+    w = np.empty((2 * dim, 2 * dim), dtype=complex)
+    step = np.zeros((2 * dim, dim), dtype=complex)  # a row block times x**s; none before B_last
+    diag = np.arange(dim)
+    for q in range(len(chunks) - 1, -1, -1):
+        for a in range(2):
+            rows = w[a * dim : (a + 1) * dim]  # ancilla bra <a|, as [i, b, j]
+            if q < len(chunks) - 1:  # before B_q overwrites the rows
+                np.matmul(rows.reshape(2 * dim, dim), powers[:, -1], out=step)
+            np.matmul(chunks[q, 1:, a].T, powers[:, :-1], out=rows.reshape(dim, 2, dim))
+            rows += step.reshape(dim, 2 * dim)
+        w.reshape(2, dim, 2, dim)[:, diag, :, diag] += chunks[q, 0]
+    return w
 
 
 def pue_block(w: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from eigenreflect.circuit import (
     gate_counts,
     predicted_counts,
     synthesize,
+    walk_coefficients,
 )
 from eigenreflect.completion import (
     CompletionError,
@@ -28,7 +29,7 @@ from eigenreflect.completion import (
     factorize,
     gram_polynomial,
 )
-from eigenreflect.gqsp import GQSPAngleSequence, synthesize_angles
+from eigenreflect.gqsp import GQSPAngleSequence, reconstruct_polynomials, synthesize_angles
 from eigenreflect.poly import GapSpec, build_upsilon, select_parameters
 
 from _pairs import MIRROR_RECORDS, reference_mirror, theta_negated
@@ -210,6 +211,39 @@ class TestSynthesize:
         syn = synthesize(GapSpec(math.pi / 2, epsilon=0.5), use_paper_t_formula=True)
         assert syn.plan.degree == 0
         assert gate_counts(syn.circuit) == GateCounts(0, 0, 2)
+
+
+class TestWalkCoefficients:
+    @pytest.mark.parametrize(
+        "delta, epsilon, degree",
+        [(math.pi / 2, 1e-3, 21), (math.pi / 16, 1e-3, 189), (math.pi / 64, 1e-3, 770)],
+    )
+    def test_first_column_is_the_reconstructed_pair(self, delta, epsilon, degree):
+        syn = synthesize(GapSpec(delta, epsilon=epsilon))
+        coeffs = syn.plus_coefficients
+        assert coeffs.shape == (degree + 1, 2, 2)
+        assert coeffs is syn.plus_coefficients and not coeffs.flags.writeable
+        p, q = reconstruct_polynomials(syn.plus)
+        assert np.max(np.abs(coeffs[:, 0, 0] - p.as_array())) <= 1e-15
+        assert np.max(np.abs(coeffs[:, 1, 0] - q.as_array())) <= 1e-15
+
+    def test_phase_shift_rides_on_each_power(self):
+        syn = synthesize(GapSpec(math.pi / 4, epsilon=1e-2))
+        plain = walk_coefficients(build_w(syn.plus).gates)
+        shifted = walk_coefficients(build_w(syn.plus, phase_shift=0.7).gates)
+        powers = np.exp(-0.7j * np.arange(syn.plan.degree + 1))
+        assert np.max(np.abs(shifted - powers[:, None, None] * plain)) <= 1e-14
+
+    def test_adjoint_walk_has_the_adjoint_coefficients(self):
+        walk = build_w(synthesize(GapSpec(math.pi / 4, epsilon=1e-2)).plus, phase_shift=0.3)
+        coeffs = walk_coefficients(walk.gates)
+        inverse = walk_coefficients(adjoint(walk).gates)
+        assert np.max(np.abs(inverse - coeffs.conj().swapaxes(1, 2))) <= 1e-14
+
+    def test_mixed_exponents_rejected(self):
+        gates = (ControlledOracle(1), AncillaRotation(0.1, 0.2, 0.3), ControlledOracle(-1))
+        with pytest.raises(ValueError, match="one exponent"):
+            walk_coefficients(gates)
 
 
 class TestCheckGrids:

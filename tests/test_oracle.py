@@ -505,25 +505,35 @@ class TestMirroredComposite:
         eta = report.branch_unitarity_residual
         assert report.unitarity_residual >= eta * (2.0 + eta)
 
-    @staticmethod
-    def spy_on_walks(monkeypatch):
-        walks = []
-        real = oracle._apply_gates
-        monkeypatch.setattr(
-            oracle, "_apply_gates", lambda c, *a, **k: walks.append(c) or real(c, *a, **k)
-        )
-        return walks
-
     @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_RECORDS)
     def test_one_branch_walk_per_verify(self, monkeypatch, delta, epsilon, degree):
+        # one W+ evaluation per verify, from coefficients built once per record
         syn = synthesize(GapSpec(delta, theta=-0.4, epsilon=epsilon))
         u = random_gapped_unitary(SpectrumSpec(dim=8, delta=delta, theta=-0.4, seed=1))
-        walks = self.spy_on_walks(monkeypatch)
-        assert verify_reflection(u, syn).bound_satisfied
-        assert [len(c.gates) for c in walks] == [2 * degree + 1]
+        walks, built = [], []
+        real_walk, real_build = oracle._evaluate_walk, circuit.walk_coefficients
+        monkeypatch.setattr(
+            oracle, "_evaluate_walk", lambda c, x: walks.append(c) or real_walk(c, x)
+        )
+        monkeypatch.setattr(
+            circuit, "walk_coefficients", lambda g: built.append(g) or real_build(g)
+        )
+        for _ in range(2):
+            assert verify_reflection(u, syn).bound_satisfied
+        assert built == [syn.circuit.gates[: 2 * degree + 1]]
+        assert len(walks) == 2 and all(c is syn.plus_coefficients for c in walks)
+
+    def test_gates_counted_once_per_record(self, monkeypatch):
+        syn, u = self.instance(*MIRROR_RECORDS[0], dim=8)
+        counted = []
+        real = circuit.gate_counts
+        monkeypatch.setattr(circuit, "gate_counts", lambda c: counted.append(c) or real(c))
+        reports = [verify_reflection(u, syn) for _ in range(2)]
+        assert counted == [syn.circuit]
+        assert reports[0].counts == reports[1].counts == real(syn.circuit)
 
     @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_RECORDS)
-    def test_no_composite_gram_and_two_svds(self, monkeypatch, delta, epsilon, degree):
+    def test_no_composite_gram_and_one_svd(self, monkeypatch, delta, epsilon, degree):
         dim = 16
         syn, u = self.instance(delta, epsilon, degree, dim)
         calls = {"_gram_defect": [], "spectral_norm": []}
@@ -539,8 +549,8 @@ class TestMirroredComposite:
         # only W+'s Gram (u's own unitarity check runs inside sim)
         [gram] = calls["_gram_defect"]
         assert np.array_equal(gram, w_plus)
-        # decompose's reconstruction residual and the oracle block residual
-        assert [a.shape for a in calls["spectral_norm"]] == [(dim, dim), (dim, dim)]
+        # the oracle block residual; decompose checks its reconstruction in the Frobenius norm
+        assert [a.shape for a in calls["spectral_norm"]] == [(dim, dim)]
 
 
 class TestSpectralData:

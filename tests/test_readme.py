@@ -1,9 +1,16 @@
-"""The README's library quickstart runs as printed, and its flag lists match the parser."""
+"""The README's library quickstart runs and its verify runs print what it quotes;
+its flag lists match the parser."""
 
 import argparse
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import eigenreflect
 from eigenreflect.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -33,3 +40,37 @@ def test_command_line_bullets_match_the_parser():
     }
     assert len(bullets) == 4
     assert documented == parsed
+
+
+def quoted_verify_errors():
+    """(threads, verify flags, quoted measured_error) for each verify run README prints."""
+    text = README.read_text()
+    runs = [
+        (int(threads), flags.replace("\\\n", " ").split(), quoted)
+        for threads, flags, quoted in re.findall(
+            r"\$ OPENBLAS_NUM_THREADS=(\d+) eigenreflect verify ((?:.*\\\n)*.*)\n\{\n"
+            r"  \"measured_error\": ([^,]+),",
+            text,
+        )
+    ]
+    assert runs, "README prints no verify run with its thread count"
+    (flags, one, two), = re.findall(
+        r"\(`verify ([^`]+)`\s+writes `measured_error` (\S+) under one OpenBLAS\s+"
+        r"thread and (\S+) under two\)",
+        text,
+    )
+    return runs + [(1, flags.split(), one), (2, flags.split(), two)]
+
+
+@pytest.mark.parametrize("threads, flags, quoted", quoted_verify_errors())
+def test_quoted_measured_errors_are_reproduced(threads, flags, quoted):
+    # the thread count README names, since it changes the last digits
+    src = str(Path(eigenreflect.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = [] if "--out" in flags else ["--out", "-"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "eigenreflect", "verify", *flags, *out],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert re.search(r'"measured_error": ([^,]+),', proc.stdout).group(1) == quoted

@@ -135,6 +135,15 @@ def random_circuit(rng, length):
     return CircuitIR(tuple(gates), length)
 
 
+def random_walk(rng, degree, exponent):
+    # a single-exponent run: rotation, then (oracle, rotation) pairs
+    gates = [AncillaRotation(*rng.uniform(-math.pi, math.pi, size=3))]
+    for _ in range(degree):
+        gates.append(ControlledOracle(exponent, float(rng.uniform(-math.pi, math.pi))))
+        gates.append(AncillaRotation(*rng.uniform(-math.pi, math.pi, size=3)))
+    return CircuitIR(tuple(gates), degree)
+
+
 class TestAgainstDenseProduct:
     @pytest.mark.parametrize("dim", range(1, 9))
     def test_matches_the_full_gate_product(self, dim):
@@ -143,6 +152,21 @@ class TestAgainstDenseProduct:
         for _ in range(4):
             circ = random_circuit(rng, 24)
             assert np.max(np.abs(realize(circ, u) - dense_realize(circ, u))) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    @pytest.mark.parametrize("degree, exponent", [(60, 1), (97, -1), (143, 1)])
+    def test_long_single_exponent_walks(self, dim, degree, exponent):
+        # several Horner steps in x**s
+        circ = random_walk(np.random.default_rng(degree), degree, exponent)
+        u = random_unitary(dim, seed=200 + dim)
+        assert np.max(np.abs(realize(circ, u) - dense_realize(circ, u))) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_plus_walk_then_mirrored_tail(self, dim):
+        syn = synthesize(GapSpec(math.pi / 8, theta=0.6, epsilon=1e-3))
+        assert syn.plan.degree == 91
+        u = random_unitary(dim, seed=300 + dim)
+        assert np.max(np.abs(realize(syn.circuit, u) - dense_realize(syn.circuit, u))) <= 1e-13
 
 
 def build_w_branches(t, n, phase_shift=0.0):
