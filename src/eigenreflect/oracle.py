@@ -16,7 +16,7 @@ import numpy as np
 
 from .circuit import GateCounts, Synthesis, predicted_counts
 from .poly import ComplexPolynomial, GapSpec, ReflectionPlan
-from .sim import UNITARY_TOL, _evaluate_walk, _gram_defect, _require_unitary, spectral_norm
+from .sim import UNITARY_TOL, _evaluate_walk, _require_unitary
 
 __all__ = [
     "PHASE_MATCH_TOL",
@@ -69,7 +69,7 @@ class SpectralData:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """`unitarity_residual` is the composite's Gram defect bound, certified from W+'s."""
+    """`measured_error` is spectral, the residuals Frobenius; `unitarity_residual` is certified."""
     measured_error: float
     bound: float
     bound_satisfied: bool
@@ -203,14 +203,18 @@ def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport
     the reflection through the exact target eigenspace: both verdicts
     rest on the eigenbasis, not on the angles.  The top block of W = (Z W+ Z)^dagger W+ is
     A^dagger A - B^dagger B for W+'s first block column [A; B], Hermitian,
-    and `measured_error` is an `eigvalsh`.
+    and `measured_error`, the verdict, is an exact spectral norm, an `eigvalsh`;
+    the residuals only report rounding and are Frobenius norms, which need no solve.
+    W+'s is summed over its Gram's blocks on and above the diagonal, the first
+    of them, A^dagger A + B^dagger B, from the top block's two products.
     W^dagger W - I = W+^dagger (M M^dagger - I) W+ + W+^dagger W+ - I for
     M = Z W+ Z, so `unitarity_residual` is the certified bound eta (2 + eta)
-    with eta = ||W+^dagger W+ - I|| <= eta^ + n gamma_{n+2} (1 + eta^) for
+    with eta = ||W+^dagger W+ - I||_F <= eta^ + n gamma_{n+2} (1 + eta^) for
     eta^ computed, n = 2 dim, gamma_k = k u / (1 - k u), u = 2^-53, to first
     order: a complex Gram product errs by at most gamma_{n+2} |W+|^T |W+|
     entrywise (Higham, Accuracy and Stability of Numerical Algorithms,
-    3.5-3.6), of norm <= ||W+||_F^2 <= n (1 + eta); `eigvalsh` adds O(n u eta^).
+    3.5-3.6), of Frobenius norm <= ||W+||_F^2 <= n (1 + eta); the norm adds
+    O(n u eta^).  eta, a Frobenius norm, bounds the spectral defect too.
     """
     plan = synthesis.plan
     gap = plan.gap
@@ -220,17 +224,19 @@ def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport
 
     u = np.asarray(u, dtype=complex)
     w_plus = _evaluate_walk(synthesis.plus_coefficients, u)
-    branch_unitarity = _gram_defect(w_plus)
-    a, b = w_plus[: s.dim, : s.dim], w_plus[s.dim :, : s.dim]
-    top = a.conj().T @ a - b.conj().T @ b - ideal
-    measured = float(np.abs(np.linalg.eigvalsh(top)).max())
+    x, y = w_plus[:, : s.dim], w_plus[:, s.dim :]  # block columns, x = [A; B]
+    a, b = x[: s.dim], x[s.dim :]
+    aa, bb = a.conj().T @ a, b.conj().T @ b
+    measured = float(np.abs(np.linalg.eigvalsh(aa - bb - ideal)).max())
+    gram = (aa + bb - np.eye(s.dim), x.conj().T @ y, y.conj().T @ y - np.eye(s.dim))
+    branch_unitarity = float(np.sqrt(np.dot([1, 2, 1], [np.vdot(g, g).real for g in gram])))
     n = 2 * s.dim
     eta = branch_unitarity + n * (n + 2) * _U / (1 - (n + 2) * _U) * (1 + branch_unitarity)
     unitarity = eta * (2.0 + eta)
     bound = 4.0 * gap.epsilon
 
     shifted = replace(s, eigenphases=s.eigenphases - gap.theta)
-    block_vs_oracle = spectral_norm(a - apply_poly(shifted, synthesis.kernel))
+    block_vs_oracle = float(np.linalg.norm(a - apply_poly(shifted, synthesis.kernel)))
 
     return VerificationReport(
         measured_error=measured,

@@ -56,6 +56,13 @@ class TestDecompose:
         with pytest.raises(ValueError, match="not unitary"):
             decompose(np.diag([1.0, 2.0]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="not unitary"):
+            decompose(np.full((2, 2), value))
+        with pytest.raises(ValueError, match="not unitary"):
+            decompose(np.where(np.eye(3, k=1) == 1, value, np.eye(3)))
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             decompose(np.ones((2, 3)))
@@ -383,6 +390,13 @@ class TestVerifyReflection:
         with pytest.raises(ValueError, match="not unitary"):
             verify_reflection(np.diag([1.0, 0.5]), syn)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_oracle_rejected(self, value):
+        syn = synthesize(GapSpec(math.pi / 2, epsilon=0.1))
+        for u in (np.full((2, 2), value), np.diag([1.0, value])):
+            with pytest.raises(ValueError, match="not unitary"):
+                verify_reflection(u, syn)
+
     def test_gap_violation_propagates(self):
         gap = GapSpec(math.pi / 2, epsilon=0.1)
         syn = synthesize(gap)
@@ -533,24 +547,41 @@ class TestMirroredComposite:
         assert reports[0].counts == reports[1].counts == real(syn.circuit)
 
     @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_RECORDS)
-    def test_no_composite_gram_and_one_svd(self, monkeypatch, delta, epsilon, degree):
+    def test_one_eigvalsh_and_no_svd(self, monkeypatch, delta, epsilon, degree):
+        # beyond decompose's own eigh and solve, only measured_error takes a dense solve
         dim = 16
         syn, u = self.instance(delta, epsilon, degree, dim)
-        calls = {"_gram_defect": [], "spectral_norm": []}
+        calls = {"eigvalsh": [], "svd": []}
         for name, seen in calls.items():
 
-            def spy(a, real=getattr(oracle, name), seen=seen):
-                seen.append(a)
-                return real(a)
+            def spy(a, *args, real=getattr(np.linalg, name), seen=seen, **kwargs):
+                seen.append(a.shape)
+                return real(a, *args, **kwargs)
 
-            monkeypatch.setattr(oracle, name, spy)
+            monkeypatch.setattr(np.linalg, name, spy)
         verify_reflection(u, syn)
-        w_plus = realize(CircuitIR(syn.circuit.gates[: 2 * degree + 1], degree), u)
-        # only W+'s Gram (u's own unitarity check runs inside sim)
-        [gram] = calls["_gram_defect"]
-        assert np.array_equal(gram, w_plus)
-        # the oracle block residual; decompose checks its reconstruction in the Frobenius norm
-        assert [a.shape for a in calls["spectral_norm"]] == [(dim, dim)]
+        assert calls == {"eigvalsh": [(dim, dim)], "svd": []}
+
+    @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_RECORDS)
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_branch_residual_is_the_frobenius_gram_defect(
+        self, monkeypatch, delta, epsilon, degree, dim
+    ):
+        # W+ perturbed far above rounding, so that every Gram block counts
+        syn, u = self.instance(delta, epsilon, degree, dim)
+        rng, real, walks = np.random.default_rng(dim), oracle._evaluate_walk, []
+
+        def perturbed(c, x):
+            noise = rng.normal(size=(2 * dim, 2 * dim)) + 1j * rng.normal(size=(2 * dim, 2 * dim))
+            walks.append(real(c, x) + 1e-6 / dim * noise)
+            return walks[-1]
+
+        monkeypatch.setattr(oracle, "_evaluate_walk", perturbed)
+        branch = verify_reflection(u, syn).branch_unitarity_residual
+        [w] = walks
+        whole = np.linalg.norm(w.conj().T @ w - np.eye(2 * dim))
+        assert 1e-7 < whole < 1e-5
+        assert branch == pytest.approx(whole, rel=1e-9, abs=0.0)
 
 
 class TestSpectralData:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from eigenreflect import sim
 from eigenreflect.circuit import (
     AncillaRotation,
     CircuitIR,
@@ -17,7 +18,15 @@ from eigenreflect.circuit import (
 from eigenreflect.completion import factorize, gram_polynomial
 from eigenreflect.gqsp import synthesize_angles
 from eigenreflect.poly import ComplexPolynomial, GapSpec, build_upsilon
-from eigenreflect.sim import _gram_defect, pue_block, realize, spectral_norm
+from eigenreflect.sim import (
+    UNITARY_TOL,
+    _gram_defect,
+    _require_unitary,
+    _split,
+    pue_block,
+    realize,
+    spectral_norm,
+)
 
 from _pairs import theta_negated
 
@@ -161,6 +170,18 @@ class TestAgainstDenseProduct:
         u = random_unitary(dim, seed=200 + dim)
         assert np.max(np.abs(realize(circ, u) - dense_realize(circ, u))) <= 1e-13
 
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "count, exact", [(1, True), (22, True), (23, False), (36, True), (37, False)]
+    )
+    def test_whole_and_padded_last_chunk(self, dim, count, exact):
+        # count = m + 1 = k s for the s chosen there (22 = 2 * 11, 36 = 3 * 12), or k s + 1
+        assert (count % _split(count) == 0) == exact
+        exponent = 1 if count % 2 else -1
+        circ = random_walk(np.random.default_rng(count), count - 1, exponent)
+        u = random_unitary(dim, seed=400 + dim)
+        assert np.max(np.abs(realize(circ, u) - dense_realize(circ, u))) <= 1e-13
+
     @pytest.mark.parametrize("dim", [2, 8])
     def test_plus_walk_then_mirrored_tail(self, dim):
         syn = synthesize(GapSpec(math.pi / 8, theta=0.6, epsilon=1e-3))
@@ -248,30 +269,105 @@ class TestSpectralNorm:
 
 
 class TestGramDefect:
-    """||w^dagger w - I|| from eigvalsh agrees with the SVD norm of the same difference."""
+    """||w^dagger w - I|| in the Frobenius norm, between the spectral norm and sqrt(n) times it."""
 
     @staticmethod
-    def svd_defect(w):
-        return spectral_norm(w.conj().T @ w - np.eye(w.shape[0]))
+    def difference(w):
+        return w.conj().T @ w - np.eye(w.shape[0])
+
+    def check(self, w):
+        defect, spectral = _gram_defect(w), spectral_norm(self.difference(w))
+        assert defect == np.linalg.norm(self.difference(w))
+        # one part in 1e12 for the rounding of the two norms' own sums
+        assert spectral <= defect * (1 + 1e-12)
+        assert defect <= math.sqrt(w.shape[0]) * spectral * (1 + 1e-12)
+        return defect
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])
     @pytest.mark.parametrize("scale", [1e-3, 1e-1])
     def test_near_unitary(self, dim, scale):
-        # defects far above rounding, so the last bits of the Gram product do not matter
         rng = np.random.default_rng(dim)
         w = random_unitary(dim, seed=dim) + scale * (
             rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         )
-        assert _gram_defect(w) == pytest.approx(self.svd_defect(w), rel=1e-12)
+        self.check(w)
 
     @pytest.mark.parametrize("dim", [8, 64])
     def test_residual_sized(self, dim):
         # a realized synthesized circuit, whose defect is rounding alone
         syn = synthesize(GapSpec(math.pi / 4, epsilon=1e-2))
         w = realize(syn.circuit, random_unitary(dim, seed=3))
-        defect = _gram_defect(w)
-        assert 0.0 < defect <= 1e-12
-        assert defect == pytest.approx(self.svd_defect(w), rel=1e-12)
+        assert 0.0 < self.check(w) <= 1e-12
+
+    def test_spectral_on_request(self):
+        w = random_unitary(16, seed=4) * np.linspace(1.0 - 1e-3, 1.0 + 1e-3, 16)
+        expected = spectral_norm(self.difference(w))
+        assert _gram_defect(w, 2) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_empty(self):
         assert _gram_defect(np.zeros((0, 0), dtype=complex)) == 0.0
+
+
+def gram_perturbed(dim, spectral, seed):
+    """A matrix whose Gram defect has eigenvalues of modulus up to `spectral`, all of them large."""
+    rng = np.random.default_rng(seed)
+    e = spectral * rng.uniform(0.8, 1.0, size=dim) * rng.choice([-1.0, 1.0], size=dim)
+    e[0] = spectral
+    stretch = np.sqrt(1.0 + e)[:, None] * random_unitary(dim, seed + 1)
+    return random_unitary(dim, seed=seed) @ stretch
+
+
+class TestRequireUnitary:
+    """Accept or refuse exactly as the spectral Gram defect does, reading it only when needed."""
+
+    @pytest.mark.parametrize("dim", [4, 16])
+    @pytest.mark.parametrize("spectral", [0.9e-10, 0.99e-10, 1.01e-10, 1.1e-10])
+    def test_spectral_rule(self, dim, spectral):
+        u = gram_perturbed(dim, spectral, seed=dim)
+        difference = u.conj().T @ u - np.eye(dim)
+        assert np.linalg.norm(difference) > UNITARY_TOL  # the Frobenius norm alone would refuse
+        reference = spectral_norm(difference)
+        assert reference == pytest.approx(spectral, rel=1e-4, abs=0.0)
+        if reference <= UNITARY_TOL:
+            assert np.array_equal(_require_unitary(u), u)
+        else:
+            with pytest.raises(ValueError, match=rf"not unitary \(defect {reference:.3e}\)"):
+                _require_unitary(u)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["one", "all"])
+    def test_non_finite_rejected_by_realize(self, value, where):
+        u = np.full((2, 2), value) if where == "all" else np.diag([1.0, value])
+        with pytest.raises(ValueError, match="not unitary"):
+            realize(CircuitIR((), 0), u)
+
+    def test_overflowing_gram_rejected(self):
+        # finite entries whose Gram overflows to inf - inf = nan
+        u = np.array([[1e200, 1e200], [1e200, -1e200]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"not unitary \(defect nan\)"):
+                realize(CircuitIR((), 0), u)
+
+
+class TestSplit:
+    @staticmethod
+    def products(count, s):
+        # s - 1 baby powers, then one 4 dim^3 Horner step per further chunk
+        return s - 1 + 4 * (math.ceil(count / s) - 1)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 22, 36, 136, 4097])
+    def test_fewest_products(self, count):
+        best = min(self.products(count, s) for s in range(1, count + 1))
+        assert self.products(count, _split(count)) == best
+
+    @pytest.mark.parametrize(
+        "count, s, products", [(22, 11, 14), (36, 12, 19), (136, 23, 42), (4097, 121, 252)]
+    )
+    def test_plan_degrees(self, count, s, products):
+        assert (_split(count), self.products(count, _split(count))) == (s, products)
+
+    def test_the_walk_takes_the_split(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(sim, "_split", lambda count: seen.append(count) or _split(count))
+        realize(random_walk(np.random.default_rng(0), 21, 1), random_unitary(2, seed=0))
+        assert seen == [22]
