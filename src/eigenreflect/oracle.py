@@ -5,7 +5,7 @@ of the input unitary: the target projector, the averaging kernel
 applied to the unitary, and the distance of the composite block from
 the ideal reflection.  This module computes those quantities directly
 from a dense eigendecomposition, deliberately bypassing the rotation
-synthesis, so the two paths check each other.
+synthesis, so the two paths check each other.  Each also takes a stack (`verify_stack`).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "exact_projector",
     "apply_poly",
     "verify_reflection",
+    "verify_stack",
 ]
 
 PHASE_MATCH_TOL = 1e-9  # angular distance under which a phase counts as the target
@@ -53,18 +54,18 @@ class TargetAbsent(Exception):
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Eigendecomposition of a unitary: U = V diag(exp(i phases)) V^dagger."""
+    """Eigendecomposition U = V diag(exp(i phases)) V^dagger of a unitary, or of each of a stack."""
 
     eigenphases: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return int(self.eigenvectors.shape[0])
+        return int(self.eigenvectors.shape[-1])
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * np.exp(1j * self.eigenphases)) @ v.conj().T
+        return (v * np.exp(1j * self.eigenphases)[..., None, :]) @ _adjoint(v)
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class VerificationReport:
 
 
 def decompose(u: np.ndarray, *, gap: GapSpec | None = None) -> SpectralData:
-    """Eigenphases (ascending, in (-pi, pi]) and an orthonormal eigenbasis.
+    """Eigenphases (ascending, in (-pi, pi]) and an orthonormal eigenbasis, of u or each of a stack.
 
     Uses the Cayley transform, so a Hermitian eigensolver does the work.
     With a pole at alpha + pi and V = exp(-i alpha) U,
@@ -104,55 +105,61 @@ def decompose(u: np.ndarray, *, gap: GapSpec | None = None) -> SpectralData:
     empty arc of the spectrum, at least pi / dim from every eigenvalue
     for any unitary (the solve's norm is then about dim / pi, 82 at
     dim 256).  A phase within `_CUT_TOL` of -pi is the eigenvalue -1 up to
-    rounding and is reported as pi.  The reconstruction is re-checked so
+    rounding and is reported as pi.  Of a stack, only instances that fail the check
+    take `eigvals` (all, if the solve fails).  The reconstruction is re-checked so
     a silently bad decomposition cannot leak into downstream verdicts; its
     Frobenius norm, never below the spectral norm, costs no SVD.
     """
     u = _require_unitary(u)
-    dim = u.shape[0]
+    dim = u.shape[-1]
     if dim == 0:  # no spectrum to place a pole against
-        return SpectralData(np.zeros(0), np.zeros((0, 0), dtype=complex))
-    found = None
+        return SpectralData(np.zeros(u.shape[:-1]), np.zeros(u.shape, dtype=complex))
+    us = u.reshape(-1, dim, dim)
+    alpha, ok = np.zeros(len(us)), np.zeros(len(us), dtype=bool)
+    w, vectors = np.empty((len(us), dim)), np.empty_like(us)
     if gap is not None and 0.5 * gap.delta >= np.pi / dim:
-        alpha = gap.theta + 0.5 * gap.delta - np.pi
+        alpha[:] = gap.theta + 0.5 * gap.delta - np.pi
         try:
-            w, vectors = _cayley_eigh(u, alpha)
+            w[:], vectors[:] = _cayley_eigh(us, alpha)
         except np.linalg.LinAlgError:
             pass
         else:  # written so that a nan or inf in w fails the check
-            if np.abs(w).max() <= (1.0 + 1e-9) / np.tan(0.25 * gap.delta):
-                found = alpha, w, vectors
-    if found is None:
-        lam = np.sort(np.angle(np.linalg.eigvals(u)))
-        arcs = np.diff(lam, append=lam[0] + 2.0 * np.pi)  # arc k runs from lam[k]
-        widest = int(np.argmax(arcs))
-        alpha = lam[widest] + 0.5 * arcs[widest] - np.pi
-        found = (alpha, *_cayley_eigh(u, alpha))
-    alpha, w, vectors = found
-    phases = np.pi - np.mod(np.pi - (alpha + 2.0 * np.arctan(w)), 2.0 * np.pi)
+            ok = np.abs(w).max(axis=1) <= (1.0 + 1e-9) / np.tan(0.25 * gap.delta)
+    if not ok.all():  # only the instances that failed the check pay for `eigvals`
+        lam = np.sort(np.angle(np.linalg.eigvals(us[~ok])))
+        arcs = np.diff(lam, append=lam[:, :1] + 2.0 * np.pi)  # arc k runs from lam[k]
+        widest = np.argmax(arcs, axis=1)[:, None]
+        alpha[~ok] = np.take_along_axis(lam + 0.5 * arcs, widest, 1)[:, 0] - np.pi
+        w[~ok], vectors[~ok] = _cayley_eigh(us[~ok], alpha[~ok])
+    phases = np.pi - np.mod(np.pi - (alpha[:, None] + 2.0 * np.arctan(w)), 2.0 * np.pi)
     phases[phases <= _CUT_TOL - np.pi] = np.pi
-    order = np.argsort(phases, kind="stable")
-    data = SpectralData(eigenphases=phases[order], eigenvectors=vectors[:, order])
-    residual = float(np.linalg.norm(data.reconstruct() - u))
+    for k, order in enumerate(np.argsort(phases, kind="stable")):
+        phases[k], vectors[k] = phases[k, order], vectors[k][:, order]
+    data = SpectralData(phases.reshape(u.shape[:-1]), vectors.reshape(u.shape))
+    residual = max(float(np.linalg.norm(r)) for r in data.reconstruct().reshape(us.shape) - us)
     if residual > UNITARY_TOL:
         raise ValueError(f"eigendecomposition failed (residual {residual:.3e})")
     return data
 
 
-def _cayley_eigh(u: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """`eigh` of the Cayley transform of exp(-i alpha) u, whose pole is alpha + pi."""
-    v = np.exp(-1j * alpha) * u
-    eye = np.eye(u.shape[0])
+def _cayley_eigh(us: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`eigh` of the Cayley transforms of exp(-i alpha) us, each pole at its alpha + pi."""
+    v = np.exp(-1j * alpha)[:, None, None] * us
+    eye = np.eye(us.shape[-1])
     h = 1j * np.linalg.solve(eye + v, eye - v)  # (1 - V) and (1 + V)^-1 commute
-    return np.linalg.eigh(0.5 * (h + h.conj().T))
+    return np.linalg.eigh(0.5 * (h + _adjoint(h)))
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
 
 
 def _circular_distance(phases: np.ndarray, theta: float) -> np.ndarray:
     return np.abs(np.angle(np.exp(1j * (phases - theta))))
 
 
-def validate_gap(s: SpectralData, gap: GapSpec) -> int:
-    """Count target eigenphases; reject spectra that break the gap promise.
+def validate_gap(s: SpectralData, gap: GapSpec) -> int | list[int]:
+    """Count target eigenphases, a list for a stack; reject spectra that break the gap promise.
 
     Phases within 1e-9 of theta count as the target.  Any other phase
     strictly inside the delta-arc is a violation and is reported before
@@ -161,44 +168,47 @@ def validate_gap(s: SpectralData, gap: GapSpec) -> int:
     dist = _circular_distance(s.eigenphases, gap.theta)
     inside = (dist > PHASE_MATCH_TOL) & (dist < gap.delta)
     if np.any(inside):
-        worst = int(np.argmin(np.where(inside, dist, np.inf)))
-        raise GapViolation(float(s.eigenphases[worst]))
-    multiplicity = int(np.count_nonzero(dist <= PHASE_MATCH_TOL))
-    if multiplicity == 0:
+        worst = np.argmin(np.where(inside, dist, np.inf))
+        raise GapViolation(float(s.eigenphases.flat[worst]))
+    multiplicity = np.count_nonzero(dist <= PHASE_MATCH_TOL, axis=-1)
+    if not np.all(multiplicity):
         raise TargetAbsent(f"no eigenphase within {PHASE_MATCH_TOL} of {gap.theta}")
-    return multiplicity
+    return multiplicity.tolist()
 
 
 def exact_projector(s: SpectralData, theta: float) -> np.ndarray:
-    """Orthogonal projector onto the eigenspace at phase theta."""
+    """Orthogonal projector onto the eigenspace at phase theta, for each of a stack."""
     mask = _circular_distance(s.eigenphases, theta) <= PHASE_MATCH_TOL
-    if not np.any(mask):
+    if not np.all(np.any(mask, axis=-1)):
         raise TargetAbsent(f"no eigenphase within {PHASE_MATCH_TOL} of {theta}")
-    v = s.eigenvectors[:, mask]
-    return v @ v.conj().T
+    vectors = s.eigenvectors.reshape(-1, s.dim, s.dim)
+    projectors = np.empty_like(vectors)
+    for p, v, targets in zip(projectors, vectors, mask.reshape(-1, s.dim)):  # its own targets
+        np.matmul(v[:, targets], v[:, targets].conj().T, out=p)
+    return projectors.reshape(s.eigenvectors.shape)
 
 
 def apply_poly(s: SpectralData, p: ComplexPolynomial) -> np.ndarray:
-    """p(U) evaluated spectrally: V diag(p(exp(i phases))) V^dagger.
+    """p(U) evaluated spectrally: V diag(p(exp(i phases))) V^dagger, for each of a stack.
 
     The values p(exp(i phase)) are one product of the coefficients with the
-    dim x (degree + 1) matrix exp(i phase k), built in place: a temporary of
-    16 dim (degree + 1) bytes, about 67 MB at dim 1024 and degree 4096.
+    B dim x (degree + 1) matrix exp(i phase k) of a stack of B, built in place: a
+    temporary of 16 B dim (degree + 1) bytes, 67 MB at B = 1, dim 1024, degree 4096.
     """
     coeffs = p.as_array()
-    powers = np.outer(1j * s.eigenphases, np.arange(len(coeffs)))
+    powers = (1j * s.eigenphases)[..., None] * np.arange(len(coeffs))
     vals = np.exp(powers, out=powers) @ coeffs
     v = s.eigenvectors
-    return (v * vals) @ v.conj().T
+    return (v * vals[..., None, :]) @ _adjoint(v)
 
 
 def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport:
-    """Full verdict on a synthesized circuit against the ideal reflection.
+    """Full verdict on a synthesized circuit against the ideal reflection: `verify_stack` of one.
 
     The record builds its circuit's tail as the adjoint of the plus walk
     W+'s Z-mirror, so only the head, W+, is realized, as a polynomial in u
-    with the record's `plus_coefficients`; `decompose` checks u unitary,
-    which the realization relies on.  W+'s block is compared with the
+    with the record's `plus_coefficients`, first, so that only u is held beside
+    its buffers; `decompose` checks u unitary next.  W+'s block is compared with the
     kernel applied spectrally at phases shifted by theta, the composite's with
     the reflection through the exact target eigenspace: both verdicts
     rest on the eigenbasis, not on the angles.  The top block of W = (Z W+ Z)^dagger W+ is
@@ -216,38 +226,49 @@ def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport
     3.5-3.6), of Frobenius norm <= ||W+||_F^2 <= n (1 + eta); the norm adds
     O(n u eta^).  eta, a Frobenius norm, bounds the spectral defect too.
     """
-    plan = synthesis.plan
-    gap = plan.gap
-    s = decompose(u, gap=gap)
-    multiplicity = validate_gap(s, gap)
+    return verify_stack(np.asarray(u)[None], synthesis)[0]
+
+
+def verify_stack(us: np.ndarray, synthesis: Synthesis) -> list[VerificationReport]:
+    """`verify_reflection` of each unitary of a stack us, shape (B, dim, dim).
+
+    Each solve, eigen-solve and walk product takes the whole stack, and each
+    instance meets its arithmetic alone, so the reports equal B calls of
+    `verify_reflection` field for field; one instance that fails raises for all.
+    """
+    us = np.asarray(us, dtype=complex)
+    if us.ndim != 3 or us.shape[1] != us.shape[2]:
+        raise ValueError("expected a stack of square matrices")
+    plan, gap = synthesis.plan, synthesis.plan.gap
+    with np.errstate(all="ignore"):  # a u that is not unitary is refused next, by decompose
+        x, y = _evaluate_walk(synthesis.plus_coefficients, us)
+    s = decompose(us, gap=gap)
+    multiplicities = validate_gap(s, gap)
     ideal = 2.0 * exact_projector(s, gap.theta) - np.eye(s.dim)
-
-    u = np.asarray(u, dtype=complex)
-    w_plus = _evaluate_walk(synthesis.plus_coefficients, u)
-    x, y = w_plus[:, : s.dim], w_plus[:, s.dim :]  # block columns, x = [A; B]
-    a, b = x[: s.dim], x[s.dim :]
-    aa, bb = a.conj().T @ a, b.conj().T @ b
-    measured = float(np.abs(np.linalg.eigvalsh(aa - bb - ideal)).max())
-    gram = (aa + bb - np.eye(s.dim), x.conj().T @ y, y.conj().T @ y - np.eye(s.dim))
-    branch_unitarity = float(np.sqrt(np.dot([1, 2, 1], [np.vdot(g, g).real for g in gram])))
-    n = 2 * s.dim
-    eta = branch_unitarity + n * (n + 2) * _U / (1 - (n + 2) * _U) * (1 + branch_unitarity)
-    unitarity = eta * (2.0 + eta)
-    bound = 4.0 * gap.epsilon
-
+    a, b = x[:, : s.dim], x[:, s.dim :]  # x = [A; B], W+'s first block column
+    aa, bb = _adjoint(a) @ a, _adjoint(b) @ b
+    measured = np.abs(np.linalg.eigvalsh(aa - bb - ideal)).max(axis=-1)
+    branch = [
+        float(np.sqrt(np.dot([1, 2, 1], [np.vdot(g, g).real for g in gram])))
+        for gram in zip(aa + bb - np.eye(s.dim), _adjoint(x) @ y, _adjoint(y) @ y - np.eye(s.dim))
+    ]
     shifted = replace(s, eigenphases=s.eigenphases - gap.theta)
-    block_vs_oracle = float(np.linalg.norm(a - apply_poly(shifted, synthesis.kernel)))
-
-    return VerificationReport(
-        measured_error=measured,
-        bound=bound,
-        bound_satisfied=bool(measured <= bound + _BOUND_SLACK),
-        counts=synthesis.counts,
-        predicted_counts=predicted_counts(plan),
-        completion_residual=synthesis.completion.residual,
-        unitarity_residual=unitarity,
-        oracle_block_residual=block_vs_oracle,
-        params=plan,
-        branch_unitarity_residual=branch_unitarity,
-        target_multiplicity=multiplicity,
-    )
+    block = [float(np.linalg.norm(d)) for d in a - apply_poly(shifted, synthesis.kernel)]
+    n, bound, predicted = 2 * s.dim, 4.0 * gap.epsilon, predicted_counts(plan)
+    reports = []
+    for k, multiplicity in enumerate(multiplicities):
+        eta = branch[k] + n * (n + 2) * _U / (1 - (n + 2) * _U) * (1 + branch[k])
+        reports.append(VerificationReport(
+            measured_error=float(measured[k]),
+            bound=bound,
+            bound_satisfied=bool(measured[k] <= bound + _BOUND_SLACK),
+            counts=synthesis.counts,
+            predicted_counts=predicted,
+            completion_residual=synthesis.completion.residual,
+            unitarity_residual=eta * (2.0 + eta),
+            oracle_block_residual=block[k],
+            params=plan,
+            branch_unitarity_residual=branch[k],
+            target_multiplicity=multiplicity,
+        ))
+    return reports

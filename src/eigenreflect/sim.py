@@ -14,8 +14,8 @@ Paterson-Stockmeyer (`_evaluate_walk`) and multiplies the runs in
 order.  U is used only through products, never diagonalized: the
 eigenbasis belongs to the oracle path (`oracle.decompose`), and the
 circuit check must not lean on the computation it is compared with.
-Verify evaluates only the plus walk, from the record's coefficients, and
-reads the composite off its blocks (`oracle.verify_reflection`).  Gram
+Verify evaluates only the plus walk, for a whole stack at once, and reads
+the composite off its blocks (`oracle.verify_stack`).  Gram
 defects are Frobenius norms, never below the spectral norm, and need no solve.
 Written for desk-scale verification, system dims up to 1024 (the CLI's
 MAX_DIM).
@@ -33,9 +33,9 @@ UNITARY_TOL = 1e-10
 
 
 def _require_unitary(u: np.ndarray) -> np.ndarray:
-    """u as complex if ||u^dagger u - I||_2 <= UNITARY_TOL; a Frobenius defect within it accepts."""
+    """u as complex if each ||u^dagger u - I||_2 <= UNITARY_TOL; a Frobenius one within accepts."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ValueError("operator must be a square matrix")
     defect = _gram_defect(u) if np.isfinite(u).all() else np.inf  # no Gram of inf or nan
     if not defect <= UNITARY_TOL and np.isfinite(defect):
@@ -54,7 +54,8 @@ def realize(c: CircuitIR, u: np.ndarray) -> np.ndarray:
     u = _require_unitary(u)
     w = None
     for run, exponent in _runs(c.gates):
-        w_run = _evaluate_walk(walk_coefficients(run), u if exponent != -1 else u.conj().T)
+        x = u if exponent != -1 else u.conj().swapaxes(-1, -2)
+        w_run = np.concatenate(_evaluate_walk(walk_coefficients(run), x), axis=-1)
         w = w_run if w is None else w_run @ w
     return w
 
@@ -72,33 +73,34 @@ def _runs(gates: tuple[Gate, ...]):
 
 
 def _evaluate_walk(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k C_k (x) x**k for coeffs[k] = C_k, k <= m, by Paterson-Stockmeyer.
+    """sum_k C_k (x) x**k for coeffs[k] = C_k, k <= m, by Paterson-Stockmeyer, for a stack x.
 
-    x, ..., x**s are formed once, s - 1 products; Horner in x**s runs over the
-    chunks B_q = sum_{l < s} C_{qs+l} (x) x**l, W <- W (I (x) x**s) + B_q, in W
-    itself, one dim x 2 dim ancilla row block at a time, 4 dim^3 multiplications
-    per step.  `_split` picks s for the fewest dim^3: 14 at m = 21 against 2 m = 42
-    gate by gate (Paterson and Stockmeyer, SIAM J. Comput. 2, 60 (1973); Higham,
-    Functions of Matrices (2008), 4.2).  The powers take s dim^2 complex entries.
+    x is (..., dim, dim); W comes back as its block columns (2, ..., 2 dim, dim), the first
+    [A; B].  x, ..., x**s are formed once, s - 1 products, s dim^2 entries an instance; Horner
+    in x**s runs over the chunks B_q = sum_{l < s} C_{qs+l} (x) x**l, W <- W (I (x) x**s) + B_q,
+    in W itself, a column at a time through the buffer `step`, 4 dim^3 multiplications a step;
+    each column's B_q is one (2 x (s - 1)) by ((s - 1) x dim^2) GEMM an instance.  `_split`
+    picks s for the fewest dim^3: 14 at m = 21 against 2 m = 42 gate by gate (Paterson and
+    Stockmeyer, SIAM J. Comput. 2, 60 (1973); Higham, Functions of Matrices (2008), 4.2).
     """
-    dim, s = x.shape[0], _split(len(coeffs))
+    lead, dim, s = x.shape[:-2], x.shape[-1], _split(len(coeffs))
+    x = x.reshape(-1, dim, dim)
     chunks = np.concatenate([coeffs, np.zeros((-len(coeffs) % s, 2, 2))]).reshape(-1, s, 2, 2)
-    powers = np.empty((dim, s, dim), dtype=complex)  # powers[:, l] = x**(l + 1)
-    powers[:, 0] = x
+    w = np.empty((2, len(x), 2 * dim, dim), dtype=complex)  # [ancilla ket b, instance, (a, i), j]
+    powers = np.empty((s, len(x), dim, dim), dtype=complex)  # powers[l] = x**(l + 1)
+    powers[0] = x
     for l in range(1, s):
-        np.matmul(powers[:, l - 1], x, out=powers[:, l])
-    w = np.empty((2 * dim, 2 * dim), dtype=complex)
-    step = np.zeros((2 * dim, dim), dtype=complex)  # a row block times x**s; none before B_last
-    diag = np.arange(dim)
+        np.matmul(powers[l - 1], x, out=powers[l])
+    baby = powers[:-1].reshape(s - 1, len(x), dim * dim).transpose(1, 0, 2)
+    step = np.zeros((len(x), 2 * dim, dim), dtype=complex)  # a column times x**s, 0 before B_last
     for q in range(len(chunks) - 1, -1, -1):
-        for a in range(2):
-            rows = w[a * dim : (a + 1) * dim]  # ancilla bra <a|, as [i, b, j]
-            if q < len(chunks) - 1:  # before B_q overwrites the rows
-                np.matmul(rows.reshape(2 * dim, dim), powers[:, -1], out=step)
-            np.matmul(chunks[q, 1:, a].T, powers[:, :-1], out=rows.reshape(dim, 2, dim))
-            rows += step.reshape(dim, 2 * dim)
-        w.reshape(2, dim, 2, dim)[:, diag, :, diag] += chunks[q, 0]
-    return w
+        for b in range(2):
+            if q < len(chunks) - 1:  # before B_q overwrites the column
+                np.matmul(w[b], powers[-1], out=step)
+            np.matmul(chunks[q, 1:, :, b].T, baby, out=w[b].reshape(len(x), 2, dim * dim))
+            w[b] += step
+        w.reshape(2, len(x), 2, dim * dim)[..., :: dim + 1] += chunks[q, 0].T[:, None, :, None]
+    return w.reshape(2, *lead, 2 * dim, dim)
 
 
 def _split(count: int) -> int:
@@ -126,9 +128,9 @@ def spectral_norm(a: np.ndarray) -> float:
 
 
 def _gram_defect(w: np.ndarray, ord: str | int = "fro") -> float:
-    """||w^dagger w - I|| in the Frobenius norm, or in the spectral norm (ord=2), never above it."""
+    """The largest ||w^dagger w - I|| of a stack, Frobenius or spectral (ord=2), never above it."""
     if w.size == 0:
         return 0.0
-    g = w.conj().T @ w
-    g.flat[:: g.shape[0] + 1] -= 1.0
-    return float(np.linalg.norm(g, ord))
+    g = w.conj().swapaxes(-1, -2) @ w
+    g.reshape(-1, g.shape[-1] ** 2)[:, :: g.shape[-1] + 1] -= 1.0
+    return max(float(np.linalg.norm(x, ord)) for x in g.reshape(-1, *g.shape[-2:]))

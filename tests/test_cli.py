@@ -6,6 +6,7 @@ import functools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -876,6 +877,46 @@ class TestSweep:
         doc = json.loads(out.read_text())
         assert row["measured_error"] == format(doc["measured_error"], ".17g")
         assert row["completion_residual"] == format(doc["completion_residual"], ".17g")
+
+    def test_wall_time_is_the_stack_share_in_three_decimals(self, tmp_path):
+        _, rows, _ = self.run_sweep(
+            tmp_path, deltas="1.0,0.5", epsilons="0.1", dims="4,6", seeds="0,1,2"
+        )
+        assert all(re.fullmatch(r"\d+\.\d{3}", r["wall_time_ms"]) for r in rows)
+        for i in range(0, len(rows), 3):  # the three seeds of a (delta, epsilon, dim), one stack
+            assert len({r["wall_time_ms"] for r in rows[i : i + 3]}) == 1
+
+    def test_a_non_unitary_instance_fails_only_its_row(self, tmp_path, capsys, monkeypatch):
+        grids = {"deltas": "1.0", "epsilons": "0.1", "dims": "4", "seeds": "0,1,2"}
+        _, clean, _ = self.run_sweep(tmp_path, name="clean.csv", **grids)
+        capsys.readouterr()
+        real = cli.random_gapped_unitary
+        monkeypatch.setattr(
+            cli, "random_gapped_unitary", lambda spec: real(spec) * (2.0 if spec.seed == 1 else 1.0)
+        )
+        code, rows, _ = self.run_sweep(tmp_path, **grids)
+        assert code == EXIT_SWEEP_ROWS_FAILED
+        assert capsys.readouterr().err == (
+            "sweep: delta=1 epsilon=0.1 dim=4 seed=1 failed: matrix is not unitary "
+            "(defect 3.000e+00)\n"
+            "sweep: 1 row(s) failed to run\n"
+        )
+        for row in clean + rows:
+            row.pop("wall_time_ms")
+        empty = dict.fromkeys(["measured_error", "bound", "completion_residual"], "")
+        assert rows == [clean[0], {**clean[1], **empty, "satisfied": "false"}, clean[2]]
+
+    def test_dims_from_128_verify_one_seed_at_a_time(self, tmp_path, monkeypatch):
+        shapes = []
+        real = cli.verify_stack
+        monkeypatch.setattr(
+            cli, "verify_stack", lambda us, syn: shapes.append(us.shape) or real(us, syn)
+        )
+        code, _, _ = self.run_sweep(
+            tmp_path, deltas=repr(math.pi / 2), epsilons="0.1", dims="4,64,128", seeds="0,1,2,3,4"
+        )
+        assert code == EXIT_OK
+        assert shapes == [(5, 4, 4), (4, 64, 64), (1, 64, 64)] + [(1, 128, 128)] * 5
 
     def test_deterministic_apart_from_timing(self, tmp_path):
         grids = {"deltas": "1.0", "epsilons": "0.01,0.1", "dims": "6", "seeds": "1,2"}

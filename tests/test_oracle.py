@@ -19,6 +19,7 @@ from eigenreflect.oracle import (
     exact_projector,
     validate_gap,
     verify_reflection,
+    verify_stack,
 )
 from eigenreflect.poly import (
     ComplexPolynomial,
@@ -560,7 +561,7 @@ class TestMirroredComposite:
 
             monkeypatch.setattr(np.linalg, name, spy)
         verify_reflection(u, syn)
-        assert calls == {"eigvalsh": [(dim, dim)], "svd": []}
+        assert calls == {"eigvalsh": [(1, dim, dim)], "svd": []}
 
     @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_RECORDS)
     @pytest.mark.parametrize("dim", [8, 64])
@@ -572,16 +573,79 @@ class TestMirroredComposite:
         rng, real, walks = np.random.default_rng(dim), oracle._evaluate_walk, []
 
         def perturbed(c, x):
-            noise = rng.normal(size=(2 * dim, 2 * dim)) + 1j * rng.normal(size=(2 * dim, 2 * dim))
+            shape = (2, 1, 2 * dim, dim)  # W+'s two block columns, of a stack of one
+            noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             walks.append(real(c, x) + 1e-6 / dim * noise)
             return walks[-1]
 
         monkeypatch.setattr(oracle, "_evaluate_walk", perturbed)
         branch = verify_reflection(u, syn).branch_unitarity_residual
-        [w] = walks
+        [walk] = walks
+        w = np.concatenate(walk, axis=-1)[0]
         whole = np.linalg.norm(w.conj().T @ w - np.eye(2 * dim))
         assert 1e-7 < whole < 1e-5
         assert branch == pytest.approx(whole, rel=1e-9, abs=0.0)
+
+
+class TestVerifyStack:
+    """A stack verifies as each of its instances does alone, field for field."""
+
+    CASES = [  # delta, epsilon, theta, dim, multiplicity
+        (math.pi / 2, 1e-3, 0.0, 16, 1),
+        (math.pi / 3, 1e-2, 0.7, 12, 3),
+        (math.pi / 8, 1e-2, -2.4, 4, 1),  # delta / 2 < pi / dim: the widest-arc pole
+        (math.pi / 4, 1e-2, 3.0, 7, 2),
+    ]
+
+    @pytest.mark.parametrize("delta, epsilon, theta, dim, multiplicity", CASES)
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_reports_equal_the_instances_alone(
+        self, delta, epsilon, theta, dim, multiplicity, count
+    ):
+        syn = synthesize(GapSpec(delta, theta=theta, epsilon=epsilon))
+        us = np.stack([
+            random_gapped_unitary(SpectrumSpec(dim, delta, theta, multiplicity, seed))
+            for seed in range(count)
+        ])
+        assert verify_stack(us, syn) == [verify_reflection(u, syn) for u in us]
+
+    def test_a_stack_mixing_the_two_poles(self, monkeypatch):
+        # a target 0.95e-9 off theta still counts as the target, but lies closer
+        # than delta / 2 to the gap pole, so only its instance takes eigvals
+        theta = 0.3
+        others = theta + np.array([math.pi, 2.0, -2.0, 1.8, -2.5])
+        us = np.stack([
+            _with_phases([theta, theta, *others], seed=4),
+            _with_phases([theta + 0.95e-9, theta, *others], seed=5),
+            _with_phases([theta, *others, -2.9], seed=6),
+        ])
+        syn = synthesize(GapSpec(math.pi / 2, theta=theta, epsilon=1e-2))
+        calls = _count_eigvals(monkeypatch)
+        reports = verify_stack(us, syn)
+        assert [a.shape for a in calls] == [(1, 7, 7)]
+        assert [r.target_multiplicity for r in reports] == [2, 2, 1]
+        assert reports == [verify_reflection(u, syn) for u in us]
+
+    def test_decompose_matches_the_instances_alone(self):
+        gap = GapSpec(0.5, theta=-2.1, epsilon=0.1)
+        us = np.stack([random_gapped_unitary(SpectrumSpec(16, 0.5, -2.1, 3, s)) for s in range(3)])
+        stacked = decompose(us, gap=gap)
+        for k, u in enumerate(us):
+            alone = decompose(u, gap=gap)
+            assert np.array_equal(stacked.eigenphases[k], alone.eigenphases)
+            assert np.array_equal(stacked.eigenvectors[k], alone.eigenvectors)
+
+    def test_one_failing_instance_fails_the_stack(self):
+        syn = synthesize(GapSpec(1.0, epsilon=0.1))
+        us = np.stack([random_gapped_unitary(SpectrumSpec(4, 1.0, seed=s)) for s in range(3)])
+        us[1] *= 2.0
+        with pytest.raises(ValueError, match="not unitary"):
+            verify_stack(us, syn)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 4, 3), (1, 1, 4, 4)])
+    def test_not_a_stack_of_square_matrices(self, shape):
+        with pytest.raises(ValueError, match="stack of square matrices"):
+            verify_stack(np.ones(shape), synthesize(GapSpec(1.0, epsilon=0.1)))
 
 
 class TestSpectralData:
