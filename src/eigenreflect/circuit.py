@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .completion import CompletionResult, factorize, gram_polynomial
-from .gqsp import GQSPAngleSequence, synthesize_angles
+from .gqsp import GQSPAngleSequence, _walk_factors, _walk_product, synthesize_angles
 from .poly import ComplexPolynomial, GapSpec, ReflectionPlan, build_upsilon, select_parameters
 
 __all__ = [
@@ -158,31 +158,18 @@ def predicted_counts(plan: ReflectionPlan) -> GateCounts:
 
 
 def walk_coefficients(gates: tuple[Gate, ...]) -> np.ndarray:
-    """The C_k of a run realizing to sum_k C_k (x) U**(e k), stacked read-only as (m + 1, 2, 2).
-
-    The run's m oracles share the exponent e.  From C_0 = I, a rotation left-multiplies
-    every C_k, and an oracle moves the <1| rows a power up, times exp(-i phase_shift).
-    """
+    """The C_k, read-only, of a run realizing to sum_k C_k (x) U**(e k), e its one exponent."""
     if len({g.exponent for g in gates if isinstance(g, ControlledOracle)}) > 1:
         raise ValueError("a run's oracles must share one exponent")
-    c = np.zeros((2, len(gates) + 1, 2), dtype=complex)  # [ancilla bra, power, ancilla ket]
-    c[:, 0] = np.eye(2)
-    k = 0  # the highest power reached
+    factors = [np.eye(2, dtype=complex)]  # then one per oracle: its phase, the rotations after it
     for g in gates:
         if isinstance(g, AncillaRotation):
-            cos, sin = np.cos(g.theta), np.sin(g.theta)
-            el, ep = np.exp(1j * g.lam), np.exp(1j * g.phi)
-            rot = np.array([[el * ep * cos, ep * sin], [el * sin, -cos]])
-            c[:, : k + 1] = (rot @ c[:, : k + 1].reshape(2, -1)).reshape(2, k + 1, 2)
+            factors[-1] = _walk_factors(g.theta, g.phi, g.lam)[0] @ factors[-1]
         elif isinstance(g, ControlledOracle):
-            k += 1
-            c[1, 1 : k + 1] = np.exp(-1j * g.phase_shift) * c[1, :k]
-            c[1, 0] = 0.0
+            factors.append(np.diag([1.0, np.exp(-1j * g.phase_shift)]))
         else:
             raise TypeError(f"unknown gate {g!r}")
-    c = np.moveaxis(c[:, : k + 1], 1, 0)
-    c.flags.writeable = False
-    return c
+    return _walk_product(np.array(factors))
 
 
 @dataclass(frozen=True)
@@ -194,9 +181,8 @@ class Synthesis:
     Only the plus branch is stored; `branches` and `circuit` derive from it.
     The circuit is built on construction and cannot be passed in, so
     `dataclasses.replace(record, plus=...)` rebuilds it, and equality and
-    hash ignore it.  It is the plus walk, then the adjoint of the minus
-    walk, so its first 2 * degree + 1 gates are the plus branch, whose
-    `walk_coefficients` (`plus_coefficients`) and `counts` are built once, on first use.
+    hash ignore it.  It is the plus walk, then the adjoint of the minus walk; `counts` and
+    `plus_coefficients`, from the plus angles and the plan's phase, are built on first use.
     """
 
     plan: ReflectionPlan
@@ -214,7 +200,8 @@ class Synthesis:
 
     @cached_property
     def plus_coefficients(self) -> np.ndarray:
-        return walk_coefficients(self.circuit.gates[: 2 * self.plan.degree + 1])
+        p = self.plus
+        return _walk_product(_walk_factors(p.thetas, p.phis, p.lambda_final, self.plan.gap.theta))
 
     @property
     def branches(self) -> tuple[GQSPAngleSequence, GQSPAngleSequence]:

@@ -6,7 +6,8 @@ the lower branch by x:
 
     M(x) = R(theta_d, phi_d, 0) . diag(1, x) ... diag(1, x) . R(theta_0, phi_0, lam)
 
-whose first column is (p(x), q(x)).  The rotation convention is
+whose first column is (p(x), q(x)); every forward product is one product
+tree (`_walk_product`).  The rotation convention is
 
     R(theta, phi, lam) = [[exp(i(lam+phi))cos(theta), exp(i phi)sin(theta)],
                           [exp(i lam)sin(theta),      -cos(theta)]].
@@ -122,12 +123,36 @@ def synthesize_angles(p: ComplexPolynomial, q: ComplexPolynomial) -> GQSPAngleSe
 
 def reconstruct_polynomials(seq: GQSPAngleSequence) -> tuple[ComplexPolynomial, ComplexPolynomial]:
     """Run the rotation product forwards; returns the first-column pair."""
-    p = np.array([cmath.exp(1j * (seq.lambda_final + seq.phis[0])) * math.cos(seq.thetas[0])])
-    q = np.array([cmath.exp(1j * seq.lambda_final) * math.sin(seq.thetas[0])])
-    for j in range(1, len(seq.thetas)):
-        c, s = math.cos(seq.thetas[j]), math.sin(seq.thetas[j])
-        fwd = cmath.exp(1j * seq.phis[j])
-        p_pad = np.concatenate([p, [0.0]])
-        xq = np.concatenate([[0.0], q])
-        p, q = fwd * (c * p_pad + s * xq), s * p_pad - c * xq
-    return ComplexPolynomial(tuple(p)), ComplexPolynomial(tuple(q))
+    c = _walk_product(_walk_factors(seq.thetas, seq.phis, seq.lambda_final))
+    return ComplexPolynomial(tuple(c[:, 0, 0])), ComplexPolynomial(tuple(c[:, 1, 0]))
+
+
+def _walk_factors(thetas, phis, lam: float, phase_shift: float = 0.0) -> np.ndarray:
+    """R(theta_j, phi_j, lam if j == 0 else 0), times diag(1, exp(-i phase_shift)) for j >= 1."""
+    cos, sin, ep = np.cos(thetas), np.sin(thetas), np.exp(1j * np.asarray(phis))
+    m = np.stack([ep * cos, ep * sin, sin, -cos], axis=-1).reshape(-1, 2, 2)
+    m[0, :, 0] *= np.exp(1j * lam)  # R(theta, phi, lam) = R(theta, phi, 0) diag(exp(i lam), 1)
+    m[1:, :, 1] *= np.exp(-1j * phase_shift)
+    return m
+
+
+def _walk_product(factors: np.ndarray) -> np.ndarray:
+    """The C_k, read-only (n, 2, 2), of M_{n-1} S ... S M_0 = sum_k C_k x**k, S = diag(1, x).
+
+    factors[j] = M_j.  A product tree (von zur Gathen and Gerhard, Modern Computer Algebra, 10.1):
+    pairs hi S lo of degree m - 1 make degree 2m - 1, one exact length-2m FFT convolution a level.
+    """
+    n = len(factors)
+    pad = (1 << (n - 1).bit_length()) - n
+    f = np.concatenate([factors, np.broadcast_to(np.eye(2), (pad, 2, 2))])[..., None]
+    while len(f) > 1:  # f is [node, row, column, power]
+        m = f.shape[-1]
+        g = np.zeros(f.shape[:-1] + (2 * m,), dtype=complex)
+        g[1::2, ..., :m] = f[1::2]
+        g[::2, 0, :, :m] = f[::2, 0]
+        g[::2, 1, :, 1 : m + 1] = f[::2, 1]  # S lo: its lower row a power up
+        t = np.fft.fft(g)
+        f = np.fft.ifft((t[1::2, :, :, None] * t[::2, None]).sum(2))
+    c = np.stack([f[0, 0, :, :n], f[0, 1, :, pad:]]).transpose(2, 0, 1)  # S**pad: row 1 pad up
+    c.flags.writeable = False
+    return c

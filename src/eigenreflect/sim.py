@@ -7,15 +7,15 @@ ancilla bra/ket.  The oracle gate touches the system only when the
 ancilla is |1>, matching the shift convention of the angle synthesis.
 
 A run of gates whose oracles share one exponent e is the 2 x 2 matrix
-polynomial sum_k C_k (x) U**(e k), with C_k from
-`circuit.walk_coefficients`.  `realize` cuts the gate list where the
+polynomial sum_k C_k (x) U**(e k), C_k from a product tree
+(`circuit.walk_coefficients`).  `realize` cuts the gate list where the
 oracle exponent changes, evaluates each run in U or U^dagger by
 Paterson-Stockmeyer (`_evaluate_walk`) and multiplies the runs in
 order.  U is used only through products, never diagonalized: the
 eigenbasis belongs to the oracle path (`oracle.decompose`), and the
 circuit check must not lean on the computation it is compared with.
-Verify evaluates only the plus walk, for a whole stack at once, and reads
-the composite off its blocks (`oracle.verify_stack`).  Gram
+Verify evaluates only the plus walk (`plus_coefficients`), for a whole
+stack at once, and reads the composite off its blocks (`oracle.verify_stack`).  Gram
 defects are Frobenius norms, never below the spectral norm, and need no solve.
 Written for desk-scale verification, system dims up to 1024 (the CLI's
 MAX_DIM).

@@ -227,6 +227,12 @@ class TestWalkCoefficients:
         assert np.max(np.abs(coeffs[:, 0, 0] - p.as_array())) <= 1e-15
         assert np.max(np.abs(coeffs[:, 1, 0] - q.as_array())) <= 1e-15
 
+    def test_record_coefficients_are_its_plus_gates(self):
+        # the record builds them from the angles and the plan's phase, not from its gates
+        syn = synthesize(GapSpec(math.pi / 8, theta=0.6, epsilon=1e-3))
+        gates = syn.circuit.gates[: 2 * syn.plan.degree + 1]
+        assert np.max(np.abs(syn.plus_coefficients - walk_coefficients(gates))) <= 1e-14
+
     def test_phase_shift_rides_on_each_power(self):
         syn = synthesize(GapSpec(math.pi / 4, epsilon=1e-2))
         plain = walk_coefficients(build_w(syn.plus).gates)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigenreflect import circuit
@@ -12,6 +12,7 @@ from eigenreflect.circuit import synthesize
 from eigenreflect.completion import factorize, gram_polynomial
 from eigenreflect.gqsp import (
     GQSPAngleSequence,
+    _walk_product,
     reconstruct_polynomials,
     synthesize_angles,
 )
@@ -131,6 +132,46 @@ class TestReconstruct:
             for j in range(m)
         ]))
         assert np.max(np.abs(pa**2 + qa**2 - 1.0)) <= 1e-12
+
+
+def convolve_reference(factors):
+    """C_k of M_{n-1} S ... S M_0, S = diag(1, x): a factor at a time, np.convolve per entry."""
+    n = len(factors)
+    acc = np.zeros((2, 2, n), dtype=complex)  # [row, column, power]
+    acc[..., 0] = factors[0]
+    for m in factors[1:]:
+        step = np.zeros((2, 2, 2), dtype=complex)  # M S: its right column times x
+        step[:, 0, 0], step[:, 1, 1] = m[:, 0], m[:, 1]
+        acc = np.array([
+            [sum(np.convolve(step[i, j], acc[j, k])[:n] for j in range(2)) for k in range(2)]
+            for i in range(2)
+        ])
+    return acc.transpose(2, 0, 1)
+
+
+class TestWalkProduct:
+    @given(n=st.integers(1, 70), seed=st.integers(0, 10_000))
+    # powers of two and their neighbours: no padding identity, one, or 2^k - 1 of them
+    @example(n=2, seed=0)
+    @example(n=3, seed=1)
+    @example(n=15, seed=2)
+    @example(n=16, seed=3)
+    @example(n=17, seed=4)
+    @example(n=63, seed=5)
+    @example(n=64, seed=6)
+    @example(n=65, seed=7)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_sequential_convolution(self, n, seed):
+        # unitary factors keep every partial product's coefficients at most 1
+        rng = np.random.default_rng(seed)
+        factors, _ = np.linalg.qr(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+        c = _walk_product(factors)
+        assert c.shape == (n, 2, 2) and not c.flags.writeable
+        assert np.max(np.abs(c - convolve_reference(factors))) <= 1e-13
+
+    def test_one_factor_is_returned_exactly(self):
+        m = np.array([[[0.6, 0.8j], [0.8, -0.6j]]])
+        assert np.array_equal(_walk_product(m), m)
 
 
 class TestMirroredBranches:

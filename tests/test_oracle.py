@@ -526,16 +526,16 @@ class TestMirroredComposite:
         syn = synthesize(GapSpec(delta, theta=-0.4, epsilon=epsilon))
         u = random_gapped_unitary(SpectrumSpec(dim=8, delta=delta, theta=-0.4, seed=1))
         walks, built = [], []
-        real_walk, real_build = oracle._evaluate_walk, circuit.walk_coefficients
+        real_walk, real_build = oracle._evaluate_walk, circuit._walk_product
         monkeypatch.setattr(
             oracle, "_evaluate_walk", lambda c, x: walks.append(c) or real_walk(c, x)
         )
         monkeypatch.setattr(
-            circuit, "walk_coefficients", lambda g: built.append(g) or real_build(g)
+            circuit, "_walk_product", lambda f: built.append(f) or real_build(f)
         )
         for _ in range(2):
             assert verify_reflection(u, syn).bound_satisfied
-        assert built == [syn.circuit.gates[: 2 * degree + 1]]
+        assert len(built) == 1 and built[0].shape == (degree + 1, 2, 2)
         assert len(walks) == 2 and all(c is syn.plus_coefficients for c in walks)
 
     def test_gates_counted_once_per_record(self, monkeypatch):

@@ -189,6 +189,16 @@ class TestAgainstDenseProduct:
         u = random_unitary(dim, seed=300 + dim)
         assert np.max(np.abs(realize(syn.circuit, u) - dense_realize(syn.circuit, u))) <= 1e-13
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("k, degree", [(64, 770), (128, 1547), (256, 3101)])
+    def test_long_plan_circuits(self, dim, k, degree):
+        # the reference rounds once per gate, 4 degree + 2 of them, so its own gap grows
+        # with the degree: about 1e-12 at degree 3,101, whatever builds the coefficients
+        syn = synthesize(GapSpec(math.pi / k, theta=0.6, epsilon=1e-3))
+        assert syn.plan.degree == degree
+        u = random_unitary(dim, seed=500 + dim)
+        assert np.max(np.abs(realize(syn.circuit, u) - dense_realize(syn.circuit, u))) <= 5e-12
+
 
 def build_w_branches(t, n, phase_shift=0.0):
     ups = build_upsilon(t, n)
