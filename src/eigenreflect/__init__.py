@@ -10,99 +10,21 @@ the target eigenspace.  A simulator that only multiplies by U and an
 eigendecomposition oracle verify the construction end to end.
 """
 
-from .circuit import (
-    AncillaRotation,
-    CircuitIR,
-    ControlledOracle,
-    Gate,
-    GateCounts,
-    Synthesis,
-    adjoint,
-    build_reflection,
-    build_w,
-    gate_counts,
-    synthesize,
-)
-from .completion import (
-    CompletionError,
-    CompletionResult,
-    TrigPolynomial,
-    completion_residual,
-    factorize,
-    gram_polynomial,
-)
-from .gqsp import (
-    ROTATION_CONVENTION,
-    GQSPAngleSequence,
-    reconstruct_polynomials,
-    synthesize_angles,
-)
-from .oracle import (
-    GapViolation,
-    SpectralData,
-    TargetAbsent,
-    VerificationReport,
-    apply_poly,
-    decompose,
-    exact_projector,
-    validate_gap,
-    verify_reflection,
-)
-from .poly import (
-    ComplexPolynomial,
-    GapSpec,
-    ReflectionPlan,
-    build_upsilon,
-    eval_on_circle_grid,
-    max_modulus_outside_gap,
-    select_parameters,
-)
-from .sim import pue_block, realize, spectral_norm
-from .testgen import SpectrumSpec, random_gapped_unitary
+# Each library module's __all__ is the one declaration of its public names; cli is left
+# out, so importing the package loads no argparse.
+from . import circuit, completion, gqsp, oracle, poly, sim, testgen
+from .circuit import *  # noqa: F403
+from .completion import *  # noqa: F403
+from .gqsp import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .poly import *  # noqa: F403
+from .sim import *  # noqa: F403
+from .testgen import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AncillaRotation",
-    "CircuitIR",
-    "ComplexPolynomial",
-    "CompletionError",
-    "CompletionResult",
-    "ControlledOracle",
-    "Gate",
-    "GateCounts",
-    "GapSpec",
-    "GapViolation",
-    "GQSPAngleSequence",
-    "ROTATION_CONVENTION",
-    "ReflectionPlan",
-    "SpectralData",
-    "SpectrumSpec",
-    "Synthesis",
-    "TargetAbsent",
-    "TrigPolynomial",
-    "VerificationReport",
-    "adjoint",
-    "apply_poly",
-    "build_reflection",
-    "build_upsilon",
-    "build_w",
-    "completion_residual",
-    "decompose",
-    "eval_on_circle_grid",
-    "exact_projector",
-    "factorize",
-    "gate_counts",
-    "gram_polynomial",
-    "max_modulus_outside_gap",
-    "pue_block",
-    "random_gapped_unitary",
-    "realize",
-    "reconstruct_polynomials",
-    "select_parameters",
-    "spectral_norm",
-    "synthesize",
-    "synthesize_angles",
-    "validate_gap",
-    "verify_reflection",
+    name
+    for module in (poly, completion, gqsp, circuit, sim, oracle, testgen)
+    for name in module.__all__
 ]

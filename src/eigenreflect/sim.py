@@ -1,4 +1,4 @@
-"""Realization of ancilla circuits and spectral-norm computation.
+"""Realization of ancilla circuits, the unitarity check and Gram defects.
 
 Operators are plain complex ndarrays.  The realized space is
 (ancilla tensor system) with the ancilla as the leading factor, so a
@@ -27,7 +27,7 @@ import numpy as np
 
 from .circuit import CircuitIR, ControlledOracle, Gate, walk_coefficients
 
-__all__ = ["UNITARY_TOL", "realize", "pue_block", "spectral_norm"]
+__all__ = ["UNITARY_TOL", "realize"]
 
 UNITARY_TOL = 1e-10
 
@@ -106,25 +106,6 @@ def _evaluate_walk(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _split(count: int) -> int:
     """The s with the fewest products (s - 1) + 4 (ceil(count / s) - 1) for count coefficients."""
     return min(range(1, count + 1), key=lambda s: s - 1 + 4 * (-(-count // s) - 1))
-
-
-def pue_block(w: np.ndarray) -> np.ndarray:
-    """The <0| w |0> sub-block, the block a walk encodes its polynomial in."""
-    w = np.asarray(w, dtype=complex)
-    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] % 2 != 0:
-        raise ValueError("expected a square matrix of even dimension")
-    half = w.shape[0] // 2
-    return w[:half, :half]
-
-
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value, from the full singular-value decomposition."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError("expected a matrix")
-    if min(a.shape) == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def _gram_defect(w: np.ndarray, ord: str | int = "fro") -> float:

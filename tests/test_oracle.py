@@ -28,7 +28,7 @@ from eigenreflect.poly import (
     max_modulus_outside_gap,
     select_parameters,
 )
-from eigenreflect.sim import pue_block, realize, spectral_norm
+from eigenreflect.sim import realize
 from eigenreflect.testgen import SpectrumSpec, random_gapped_unitary
 
 from _pairs import MIRROR_RECORDS
@@ -39,7 +39,7 @@ class TestDecompose:
         s = decompose(np.eye(4))
         assert np.allclose(s.eigenphases, 0.0)
         assert s.dim == 4
-        assert spectral_norm(s.reconstruct() - np.eye(4)) <= 1e-12
+        assert np.linalg.norm(s.reconstruct() - np.eye(4), 2) <= 1e-12
 
     def test_diag_phases_sorted(self):
         s = decompose(np.diag([-1.0 + 0j, 1.0]))
@@ -48,10 +48,10 @@ class TestDecompose:
     def test_random_unitary_reconstructs(self):
         u = random_gapped_unitary(SpectrumSpec(dim=16, delta=0.5, seed=3))
         s = decompose(u)
-        assert spectral_norm(s.reconstruct() - u) <= 1e-10
+        assert np.linalg.norm(s.reconstruct() - u, 2) <= 1e-10
         assert np.all(np.diff(s.eigenphases) >= 0)
         basis = s.eigenvectors
-        assert spectral_norm(basis.conj().T @ basis - np.eye(16)) <= 1e-10
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(16), 2) <= 1e-10
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="not unitary"):
@@ -81,9 +81,9 @@ def _cyclic_shift(dim):
 
 
 def _assert_exact(s, u):
-    assert spectral_norm(s.reconstruct() - u) <= 1e-12
+    assert np.linalg.norm(s.reconstruct() - u, 2) <= 1e-12
     v = s.eigenvectors
-    assert spectral_norm(v.conj().T @ v - np.eye(s.dim)) <= 1e-12
+    assert np.linalg.norm(v.conj().T @ v - np.eye(s.dim), 2) <= 1e-12
     assert np.all(np.diff(s.eigenphases) >= 0)
     assert -math.pi < s.eigenphases[0] and s.eigenphases[-1] <= math.pi
 
@@ -136,7 +136,7 @@ class TestDecomposeAdversarial:
         _assert_exact(s, u)
         p = exact_projector(s, -1.3)
         assert np.trace(p).real == pytest.approx(3.0, abs=1e-12)
-        assert spectral_norm(p @ u - np.exp(-1.3j) * p) <= 1e-12
+        assert np.linalg.norm(p @ u - np.exp(-1.3j) * p, 2) <= 1e-12
 
 
 class TestDecomposeProperty:
@@ -180,7 +180,7 @@ class TestDecomposeAgainstSchur:
         mask = np.abs(np.angle(np.diagonal(t) * np.exp(-1j * theta))) <= 1e-9
         assert np.count_nonzero(mask) == multiplicity
         reference = z[:, mask] @ z[:, mask].conj().T
-        assert spectral_norm(exact_projector(decompose(u), theta) - reference) <= 1e-12
+        assert np.linalg.norm(exact_projector(decompose(u), theta) - reference, 2) <= 1e-12
 
 
 class TestValidateGap:
@@ -233,8 +233,8 @@ class TestExactProjector:
         s = decompose(random_gapped_unitary(spec))
         p = exact_projector(s, 0.0)
         assert np.trace(p).real == pytest.approx(3.0, abs=1e-10)
-        assert spectral_norm(p @ p - p) <= 1e-10
-        assert spectral_norm(p - p.conj().T) <= 1e-10
+        assert np.linalg.norm(p @ p - p, 2) <= 1e-10
+        assert np.linalg.norm(p - p.conj().T, 2) <= 1e-10
 
     def test_absent_phase_raises(self):
         s = decompose(np.eye(2))
@@ -250,8 +250,8 @@ class TestApplyPoly:
     def test_linear_polynomial_reproduces_operator(self):
         u = random_gapped_unitary(SpectrumSpec(dim=5, delta=0.5, seed=6))
         s = decompose(u)
-        assert spectral_norm(
-            apply_poly(s, ComplexPolynomial((0.0, 1.0))) - u
+        assert np.linalg.norm(
+            apply_poly(s, ComplexPolynomial((0.0, 1.0))) - u, 2
         ) <= 1e-10
 
     def test_kernel_contracts_to_projector(self):
@@ -263,7 +263,7 @@ class TestApplyPoly:
         u = random_gapped_unitary(SpectrumSpec(dim=12, delta=gap.delta, seed=8))
         s = decompose(u)
         projector = exact_projector(s, 0.0)
-        distance = spectral_norm(apply_poly(s, ups) - projector)
+        distance = np.linalg.norm(apply_poly(s, ups) - projector, 2)
         assert distance <= max_modulus_outside_gap(ups, gap.delta) + 1e-12
         assert distance <= gap.epsilon
 
@@ -326,8 +326,8 @@ class TestVerifyReflection:
         report = verify_reflection(u, syn)
         block = apply_poly(s, ups)
         ideal = 2.0 * exact_projector(s, 0.0) - np.eye(10)
-        spectral_route = spectral_norm(
-            2.0 * block @ block.conj().T - np.eye(10) - ideal
+        spectral_route = np.linalg.norm(
+            2.0 * block @ block.conj().T - np.eye(10) - ideal, 2
         )
         assert report.measured_error == pytest.approx(spectral_route, abs=1e-9)
 
@@ -340,7 +340,7 @@ class TestVerifyReflection:
         u = random_gapped_unitary(SpectrumSpec(dim=8, delta=gap.delta, seed=21))
         s = decompose(u)
         report = verify_reflection(u, syn)
-        kernel_distance = spectral_norm(apply_poly(s, ups) - exact_projector(s, 0.0))
+        kernel_distance = np.linalg.norm(apply_poly(s, ups) - exact_projector(s, 0.0), 2)
         assert report.measured_error <= 4 * kernel_distance + 1e-10
 
     def test_shifted_target_phase(self):
@@ -357,8 +357,10 @@ class TestVerifyReflection:
 
     def test_checks_the_circuit_it_is_given(self):
         # a wrong angle in the plus branch, mirrored into the tail, must show
-        # in the report: verify realizes the record's circuit, not a copy
-        # rebuilt from the plan
+        # in the report: verify evaluates the record's plus coefficients, built
+        # from its own plus angles and the plan's phase, not from a copy rebuilt
+        # from the plan; test_circuit.py's TestWalkCoefficients ties those
+        # coefficients to the record's plus gates
         gap = GapSpec(math.pi / 2, epsilon=1e-2)
         syn = synthesize(gap)
         u = random_gapped_unitary(SpectrumSpec(dim=8, delta=gap.delta, seed=3))
@@ -438,8 +440,8 @@ class TestDecomposeGapPole:
         by_gap = decompose(u, gap=GapSpec(delta, theta=theta, epsilon=0.1))
         by_eigvals = decompose(u)
         assert np.max(np.abs(by_gap.eigenphases - by_eigvals.eigenphases)) <= 1e-13
-        assert spectral_norm(
-            exact_projector(by_gap, theta) - exact_projector(by_eigvals, theta)
+        assert np.linalg.norm(
+            exact_projector(by_gap, theta) - exact_projector(by_eigvals, theta), 2
         ) <= 1e-12
 
     @pytest.mark.parametrize("dim, delta, theta, multiplicity", CASES)
@@ -503,11 +505,12 @@ class TestMirroredComposite:
     @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_RECORDS)
     @pytest.mark.parametrize("dim", [8, 64])
     def test_matches_the_gate_by_gate_realization(self, delta, epsilon, degree, dim):
-        # measured_error from W+'s blocks against the composite multiplied out gate by gate
+        # measured_error from W+'s blocks against the whole composite from `realize`, each
+        # run by Paterson-Stockmeyer; test_sim.py's dense_realize is the gate-by-gate reference
         syn, u = self.instance(delta, epsilon, degree, dim)
         s = decompose(u, gap=syn.plan.gap)
         ideal = 2.0 * exact_projector(s, self.THETA) - np.eye(dim)
-        gate_by_gate = spectral_norm(pue_block(realize(syn.circuit, u)) - ideal)
+        gate_by_gate = np.linalg.norm(realize(syn.circuit, u)[:dim, :dim] - ideal, 2)
         assert abs(verify_reflection(u, syn).measured_error - gate_by_gate) <= 1e-14
 
     @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_RECORDS)

@@ -1,4 +1,4 @@
-"""Realization against a dense reference, block extraction and norms."""
+"""Realization against a dense reference, the Gram defect and the unitarity check."""
 
 import math
 
@@ -23,9 +23,7 @@ from eigenreflect.sim import (
     _gram_defect,
     _require_unitary,
     _split,
-    pue_block,
     realize,
-    spectral_norm,
 )
 
 from _pairs import theta_negated
@@ -98,21 +96,21 @@ class TestRealize:
         circ = build_w_branches(3, 2)[0]
         w = realize(circ, u)
         wd = realize(adjoint(circ), u)
-        assert spectral_norm(wd - w.conj().T) <= 1e-12
+        assert np.linalg.norm(wd - w.conj().T, 2) <= 1e-12
 
     def test_circuit_times_adjoint_is_identity(self):
         u = random_unitary(8, seed=7)
         circ = build_w_branches(4, 3)[0]
         w = realize(CircuitIR(circ.gates + adjoint(circ).gates, circ.declared_degree), u)
-        assert spectral_norm(w - np.eye(16)) <= 1e-11
+        assert np.linalg.norm(w - np.eye(16), 2) <= 1e-11
 
     def test_phase_shift_equals_phased_oracle(self):
         u = random_unitary(4, seed=8)
         theta = 0.77
         circ = build_w_branches(3, 2, phase_shift=theta)[0]
         plain = build_w_branches(3, 2)[0]
-        assert spectral_norm(
-            realize(circ, u) - realize(plain, np.exp(-1j * theta) * u)
+        assert np.linalg.norm(
+            realize(circ, u) - realize(plain, np.exp(-1j * theta) * u), 2
         ) <= 1e-12
 
 
@@ -214,13 +212,13 @@ class TestBranchBlocks:
         plus = synthesize_angles(ups, phi)
         u = random_unitary(5, seed=11)
         w = realize(build_w(plus), u)
-        top = pue_block(w)
+        top = w[:5, :5]
         bottom = w[5:, :5]
-        assert spectral_norm(top - poly_of_matrix(ups.coeffs, u)) <= 1e-10
-        assert spectral_norm(bottom - poly_of_matrix(phi.coeffs, u)) <= 1e-10
+        assert np.linalg.norm(top - poly_of_matrix(ups.coeffs, u), 2) <= 1e-10
+        assert np.linalg.norm(bottom - poly_of_matrix(phi.coeffs, u), 2) <= 1e-10
         # unitarity of the whole walk makes the two blocks complementary
         gram = top.conj().T @ top + bottom.conj().T @ bottom
-        assert spectral_norm(gram - np.eye(5)) <= 1e-10
+        assert np.linalg.norm(gram - np.eye(5), 2) <= 1e-10
 
 
 class TestMirroredMinusBranch:
@@ -232,50 +230,10 @@ class TestMirroredMinusBranch:
         peeled = synthesize_angles(syn.kernel, negated)
         u = random_unitary(8, seed=21)
         blocks = [
-            pue_block(realize(build_reflection(syn.plan, (plus, minus)), u))
+            realize(build_reflection(syn.plan, (plus, minus)), u)[:8, :8]
             for minus in (peeled, mirrored)
         ]
-        assert spectral_norm(blocks[0] - blocks[1]) <= 1e-12
-
-
-class TestPueBlock:
-    def test_block_extraction(self):
-        w = np.arange(16, dtype=complex).reshape(4, 4)
-        assert np.array_equal(pue_block(w), w[:2, :2])
-
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            pue_block(np.eye(3))
-
-
-class TestSpectralNorm:
-    def test_identity(self):
-        assert spectral_norm(np.eye(8)) == pytest.approx(1.0, abs=1e-14)
-
-    def test_diagonal(self):
-        assert spectral_norm(np.diag([0.3, -0.7])) == pytest.approx(0.7, abs=1e-14)
-
-    def test_empty(self):
-        assert spectral_norm(np.zeros((0, 4))) == 0.0
-
-    def test_vector_input_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_norm(np.ones(4))
-
-    def test_large_diagonal_norm_is_its_largest_entry(self):
-        # a known diagonal keeps the answer exact
-        d = np.linspace(0.1, 2.0, 300)
-        assert spectral_norm(np.diag(d)) == pytest.approx(2.0, abs=1e-9)
-
-    def test_large_zero_matrix_norm_is_zero(self):
-        assert spectral_norm(np.zeros((300, 300))) == 0.0
-
-    def test_large_residual_sized_matrix_matches_svd(self):
-        # residual-sized norms of large matrices must not be under-reported
-        rng = np.random.default_rng(5)
-        a = 1e-13 * (rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300)))
-        expected = np.linalg.svd(a, compute_uv=False)[0]
-        assert spectral_norm(a) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert np.linalg.norm(blocks[0] - blocks[1], 2) <= 1e-12
 
 
 class TestGramDefect:
@@ -286,7 +244,8 @@ class TestGramDefect:
         return w.conj().T @ w - np.eye(w.shape[0])
 
     def check(self, w):
-        defect, spectral = _gram_defect(w), spectral_norm(self.difference(w))
+        defect = _gram_defect(w)
+        spectral = np.linalg.svd(self.difference(w), compute_uv=False)[0]
         assert defect == np.linalg.norm(self.difference(w))
         # one part in 1e12 for the rounding of the two norms' own sums
         assert spectral <= defect * (1 + 1e-12)
@@ -311,7 +270,7 @@ class TestGramDefect:
 
     def test_spectral_on_request(self):
         w = random_unitary(16, seed=4) * np.linspace(1.0 - 1e-3, 1.0 + 1e-3, 16)
-        expected = spectral_norm(self.difference(w))
+        expected = np.linalg.svd(self.difference(w), compute_uv=False)[0]
         assert _gram_defect(w, 2) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_empty(self):
@@ -336,7 +295,7 @@ class TestRequireUnitary:
         u = gram_perturbed(dim, spectral, seed=dim)
         difference = u.conj().T @ u - np.eye(dim)
         assert np.linalg.norm(difference) > UNITARY_TOL  # the Frobenius norm alone would refuse
-        reference = spectral_norm(difference)
+        reference = np.linalg.svd(difference, compute_uv=False)[0]
         assert reference == pytest.approx(spectral, rel=1e-4, abs=0.0)
         if reference <= UNITARY_TOL:
             assert np.array_equal(_require_unitary(u), u)
