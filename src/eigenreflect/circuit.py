@@ -161,15 +161,23 @@ def walk_coefficients(gates: tuple[Gate, ...]) -> np.ndarray:
     """The C_k, read-only, of a run realizing to sum_k C_k (x) U**(e k), e its one exponent."""
     if len({g.exponent for g in gates if isinstance(g, ControlledOracle)}) > 1:
         raise ValueError("a run's oracles must share one exponent")
-    factors = [np.eye(2, dtype=complex)]  # then one per oracle: its phase, the rotations after it
+    rotations, shifts = [], [0.0]  # rotations as (gap, theta, phi, lam); shifts[j] opens gap j
     for g in gates:
         if isinstance(g, AncillaRotation):
-            factors[-1] = _walk_factors(g.theta, g.phi, g.lam)[0] @ factors[-1]
+            rotations.append((len(shifts) - 1, g.theta, g.phi, g.lam))
         elif isinstance(g, ControlledOracle):
-            factors.append(np.diag([1.0, np.exp(-1j * g.phase_shift)]))
+            shifts.append(g.phase_shift)
         else:
             raise TypeError(f"unknown gate {g!r}")
-    return _walk_product(np.array(factors))
+    gap, thetas, phis, lams = np.array(rotations).reshape(-1, 4).T
+    r = _walk_factors(thetas, phis, 0.0)
+    r[:, :, 0] *= np.exp(1j * lams)[:, None]  # lam as _walk_factors applies it
+    gap, rank = gap.astype(int), np.arange(len(gap)) - np.searchsorted(gap, gap)
+    factors = np.tile(np.eye(2, dtype=complex), (len(shifts), 1, 1))  # factor j: gap j
+    for k in range(rank.max(initial=-1) + 1):  # one batched product a rank; a walk has one
+        factors[gap[rank == k]] = r[rank == k] @ factors[gap[rank == k]]
+    factors[:, :, 1] *= np.exp(-1j * np.array(shifts))[:, None]  # then oracle j's phase
+    return _walk_product(factors)
 
 
 @dataclass(frozen=True)
@@ -200,8 +208,9 @@ class Synthesis:
 
     @cached_property
     def plus_coefficients(self) -> np.ndarray:
-        p = self.plus
-        return _walk_product(_walk_factors(p.thetas, p.phis, p.lambda_final, self.plan.gap.theta))
+        """The plus walk's first column, (degree + 1, 2): (p, q), the k-th times e^{-ik theta}."""
+        p, theta = self.plus, self.plan.gap.theta
+        return _walk_product(_walk_factors(p.thetas, p.phis, p.lambda_final, theta))[:, :, 0]
 
     @property
     def branches(self) -> tuple[GQSPAngleSequence, GQSPAngleSequence]:

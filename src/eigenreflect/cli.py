@@ -79,7 +79,7 @@ EXIT_GAP_VIOLATION = 4
 EXIT_TARGET_ABSENT = 5
 EXIT_SWEEP_ROWS_FAILED = 6
 
-# cap on a generated dimension: verify holds several (2 dim)^2 matrices, 67 MB each
+# cap on a generated dimension: verify's walk holds s + 4 dim x dim matrices, 17 MB each
 MAX_DIM = 1024
 
 _SWEEP_COLUMNS = (

@@ -131,7 +131,7 @@ def _walk_factors(thetas, phis, lam: float, phase_shift: float = 0.0) -> np.ndar
     """R(theta_j, phi_j, lam if j == 0 else 0), times diag(1, exp(-i phase_shift)) for j >= 1."""
     cos, sin, ep = np.cos(thetas), np.sin(thetas), np.exp(1j * np.asarray(phis))
     m = np.stack([ep * cos, ep * sin, sin, -cos], axis=-1).reshape(-1, 2, 2)
-    m[0, :, 0] *= np.exp(1j * lam)  # R(theta, phi, lam) = R(theta, phi, 0) diag(exp(i lam), 1)
+    m[:1, :, 0] *= np.exp(1j * lam)  # R(theta, phi, lam) = R(theta, phi, 0) diag(exp(i lam), 1)
     m[1:, :, 1] *= np.exp(-1j * phase_shift)
     return m
 

@@ -205,26 +205,30 @@ def apply_poly(s: SpectralData, p: ComplexPolynomial) -> np.ndarray:
 def verify_reflection(u: np.ndarray, synthesis: Synthesis) -> VerificationReport:
     """Full verdict on a synthesized circuit against the ideal reflection: `verify_stack` of one.
 
-    The record builds its circuit's tail as the adjoint of the plus walk
-    W+'s Z-mirror, so only the head, W+, is realized, as a polynomial in u
-    with the record's `plus_coefficients`, first, so that only u is held beside
-    its buffers; `decompose` checks u unitary next.  W+'s block is compared with the
-    kernel applied spectrally at phases shifted by theta, the composite's with
-    the reflection through the exact target eigenspace: both verdicts
-    rest on the eigenbasis, not on the angles.  The top block of W = (Z W+ Z)^dagger W+ is
-    A^dagger A - B^dagger B for W+'s first block column [A; B], Hermitian,
-    and `measured_error`, the verdict, is an exact spectral norm, an `eigvalsh`;
-    the residuals only report rounding and are Frobenius norms, which need no solve.
-    W+'s is summed over its Gram's blocks on and above the diagonal, the first
-    of them, A^dagger A + B^dagger B, from the top block's two products.
-    W^dagger W - I = W+^dagger (M M^dagger - I) W+ + W+^dagger W+ - I for
-    M = Z W+ Z, so `unitarity_residual` is the certified bound eta (2 + eta)
-    with eta = ||W+^dagger W+ - I||_F <= eta^ + n gamma_{n+2} (1 + eta^) for
-    eta^ computed, n = 2 dim, gamma_k = k u / (1 - k u), u = 2^-53, to first
-    order: a complex Gram product errs by at most gamma_{n+2} |W+|^T |W+|
-    entrywise (Higham, Accuracy and Stability of Numerical Algorithms,
-    3.5-3.6), of Frobenius norm <= ||W+||_F^2 <= n (1 + eta); the norm adds
-    O(n u eta^).  eta, a Frobenius norm, bounds the spectral defect too.
+    The record's circuit is W+, then the adjoint of W+'s Z-mirror, so only W+'s first block
+    column [A; B] is realized, as a polynomial in u with the record's `plus_coefficients`,
+    first, so that only u is held beside its buffers; `decompose` checks u unitary next.  A is
+    compared with the kernel applied spectrally at phases shifted by theta, the composite's top
+    block A^dagger A - B^dagger B with the reflection through the exact target eigenspace: both
+    verdicts rest on the eigenbasis, not on the angles.  `measured_error`, the verdict, is an
+    exact spectral norm, an `eigvalsh`; the residuals report rounding, in Frobenius norms.
+    The first column fixes the second: det R(theta, phi, lam) = -e^{i(phi + lam)} and
+    det diag(1, e^{-i psi} x) = e^{-i psi} x, so W+'s 2 x 2 polynomial matrix, unitary on the
+    circle, has determinant c x^d, c = e^{i lam} prod_j (-e^{i phi_j}), and second column
+    c x^d (-conj q, conj p) for its first (p, q) (Motlagh and Wiebe, arXiv:2308.01501), here
+    c X^d [-B^dagger; A^dagger], X = e^{-i theta} u.  A and B, polynomials in one normal X,
+    commute with each other and their adjoints: the off-diagonal Gram block c X^d (B^dagger
+    A^dagger - A^dagger B^dagger) vanishes, the second diagonal block has the first's norm, and
+    eta^ = sqrt(2) ||A^dagger A + B^dagger B - I||_F, from the top block's two products, is W+'s
+    Gram defect whatever the angles (`branch_unitarity_residual`).  Exact for a unitary u; the
+    defect of a u accepted within UNITARY_TOL enters A and B through its powers up to X^d, so
+    eta^ carries it too (checked, not proved).  W^dagger W - I = W+^dagger (M M^dagger - I) W+
+    + W+^dagger W+ - I for M = Z W+ Z, so `unitarity_residual` is the certified bound
+    eta (2 + eta) with eta = ||W+^dagger W+ - I||_F <= eta^ + n gamma_{n+2} (1 + eta^), n = 2 dim,
+    gamma_k = k u / (1 - k u), u = 2^-53, to first order: a complex Gram product errs by at most
+    gamma_{n+2} |W+|^T |W+| entrywise (Higham, Accuracy and Stability of Numerical Algorithms,
+    3.5-3.6), of Frobenius norm <= ||W+||_F^2 <= n (1 + eta), and sqrt(2) times the first
+    column's is no more; the norm adds O(n u eta^).  eta bounds the spectral defect too.
     """
     return verify_stack(np.asarray(u)[None], synthesis)[0]
 
@@ -241,17 +245,14 @@ def verify_stack(us: np.ndarray, synthesis: Synthesis) -> list[VerificationRepor
         raise ValueError("expected a stack of square matrices")
     plan, gap = synthesis.plan, synthesis.plan.gap
     with np.errstate(all="ignore"):  # a u that is not unitary is refused next, by decompose
-        x, y = _evaluate_walk(synthesis.plus_coefficients, us)
+        x = _evaluate_walk(synthesis.plus_coefficients, us)
     s = decompose(us, gap=gap)
     multiplicities = validate_gap(s, gap)
     ideal = 2.0 * exact_projector(s, gap.theta) - np.eye(s.dim)
     a, b = x[:, : s.dim], x[:, s.dim :]  # x = [A; B], W+'s first block column
     aa, bb = _adjoint(a) @ a, _adjoint(b) @ b
     measured = np.abs(np.linalg.eigvalsh(aa - bb - ideal)).max(axis=-1)
-    branch = [
-        float(np.sqrt(np.dot([1, 2, 1], [np.vdot(g, g).real for g in gram])))
-        for gram in zip(aa + bb - np.eye(s.dim), _adjoint(x) @ y, _adjoint(y) @ y - np.eye(s.dim))
-    ]
+    branch = [float(np.sqrt(2.0) * np.linalg.norm(g)) for g in aa + bb - np.eye(s.dim)]
     shifted = replace(s, eigenphases=s.eigenphases - gap.theta)
     block = [float(np.linalg.norm(d)) for d in a - apply_poly(shifted, synthesis.kernel)]
     n, bound, predicted = 2 * s.dim, 4.0 * gap.epsilon, predicted_counts(plan)

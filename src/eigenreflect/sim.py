@@ -9,14 +9,14 @@ ancilla is |1>, matching the shift convention of the angle synthesis.
 A run of gates whose oracles share one exponent e is the 2 x 2 matrix
 polynomial sum_k C_k (x) U**(e k), C_k from a product tree
 (`circuit.walk_coefficients`).  `realize` cuts the gate list where the
-oracle exponent changes, evaluates each run in U or U^dagger by
-Paterson-Stockmeyer (`_evaluate_walk`) and multiplies the runs in
-order.  U is used only through products, never diagonalized: the
+oracle exponent changes, evaluates both block columns of each run in U or
+U^dagger by Paterson-Stockmeyer (`_evaluate_walk`, a column a call) and
+multiplies the runs in order.  U is used only through products, never diagonalized: the
 eigenbasis belongs to the oracle path (`oracle.decompose`), and the
 circuit check must not lean on the computation it is compared with.
-Verify evaluates only the plus walk (`plus_coefficients`), for a whole
-stack at once, and reads the composite off its blocks (`oracle.verify_stack`).  Gram
-defects are Frobenius norms, never below the spectral norm, and need no solve.
+Verify evaluates only the plus walk's first column (`plus_coefficients`), which fixes
+the second, for a whole stack at once, and reads the composite off its blocks
+(`oracle.verify_stack`).  Gram defects are Frobenius norms, never below the spectral norm.
 Written for desk-scale verification, system dims up to 1024 (the CLI's
 MAX_DIM).
 """
@@ -49,13 +49,14 @@ def realize(c: CircuitIR, u: np.ndarray) -> np.ndarray:
     """Multiply out a circuit on ancilla-plus-system space.
 
     Gates listed first act first, so the returned matrix is the product
-    of the gate matrices in reverse list order.
+    of the gate matrices in reverse list order, each run's block columns evaluated apart.
     """
     u = _require_unitary(u)
     w = None
     for run, exponent in _runs(c.gates):
         x = u if exponent != -1 else u.conj().swapaxes(-1, -2)
-        w_run = np.concatenate(_evaluate_walk(walk_coefficients(run), x), axis=-1)
+        coeffs = walk_coefficients(run)
+        w_run = np.concatenate([_evaluate_walk(coeffs[:, :, b], x) for b in range(2)], axis=-1)
         w = w_run if w is None else w_run @ w
     return w
 
@@ -73,39 +74,37 @@ def _runs(gates: tuple[Gate, ...]):
 
 
 def _evaluate_walk(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k C_k (x) x**k for coeffs[k] = C_k, k <= m, by Paterson-Stockmeyer, for a stack x.
+    """sum_k c_k (x) x**k for coeffs[k] = c_k in C^2, k <= m, by Paterson-Stockmeyer, for a stack x.
 
-    x is (..., dim, dim); W comes back as its block columns (2, ..., 2 dim, dim), the first
-    [A; B].  x, ..., x**s are formed once, s - 1 products, s dim^2 entries an instance; Horner
-    in x**s runs over the chunks B_q = sum_{l < s} C_{qs+l} (x) x**l, W <- W (I (x) x**s) + B_q,
-    in W itself, a column at a time through the buffer `step`, 4 dim^3 multiplications a step;
-    each column's B_q is one (2 x (s - 1)) by ((s - 1) x dim^2) GEMM an instance.  `_split`
-    picks s for the fewest dim^3: 14 at m = 21 against 2 m = 42 gate by gate (Paterson and
-    Stockmeyer, SIAM J. Comput. 2, 60 (1973); Higham, Functions of Matrices (2008), 4.2).
+    x is (..., dim, dim); the block column [A; B] comes back, (..., 2 dim, dim).  x, ..., x**s
+    are formed once, s - 1 products; Horner in x**s over the chunks B_q = sum_{l < s} c_{qs+l}
+    (x) x**l, W <- W x**s + B_q, runs in W through the buffer `step`, 2 dim^3 a step, B_q one
+    (2 x (s - 1)) by ((s - 1) x dim^2) GEMM an instance: (s + 4) dim^2 entries an instance in all.
+    `_split` picks s for the fewest dim^3: 14 at m = 35 against 2 m = 70 gate by gate (Paterson
+    and Stockmeyer, SIAM J. Comput. 2, 60 (1973); Higham, Functions of Matrices (2008), 4.2).
     """
     lead, dim, s = x.shape[:-2], x.shape[-1], _split(len(coeffs))
     x = x.reshape(-1, dim, dim)
-    chunks = np.concatenate([coeffs, np.zeros((-len(coeffs) % s, 2, 2))]).reshape(-1, s, 2, 2)
-    w = np.empty((2, len(x), 2 * dim, dim), dtype=complex)  # [ancilla ket b, instance, (a, i), j]
+    chunks = np.concatenate([coeffs, np.zeros((-len(coeffs) % s, 2))]).reshape(-1, s, 2)
+    w = np.empty((len(x), 2 * dim, dim), dtype=complex)  # [instance, (a, i), j]
     powers = np.empty((s, len(x), dim, dim), dtype=complex)  # powers[l] = x**(l + 1)
     powers[0] = x
     for l in range(1, s):
         np.matmul(powers[l - 1], x, out=powers[l])
     baby = powers[:-1].reshape(s - 1, len(x), dim * dim).transpose(1, 0, 2)
-    step = np.zeros((len(x), 2 * dim, dim), dtype=complex)  # a column times x**s, 0 before B_last
+    step = np.zeros_like(w)  # W times x**s, 0 before B_last
     for q in range(len(chunks) - 1, -1, -1):
-        for b in range(2):
-            if q < len(chunks) - 1:  # before B_q overwrites the column
-                np.matmul(w[b], powers[-1], out=step)
-            np.matmul(chunks[q, 1:, :, b].T, baby, out=w[b].reshape(len(x), 2, dim * dim))
-            w[b] += step
-        w.reshape(2, len(x), 2, dim * dim)[..., :: dim + 1] += chunks[q, 0].T[:, None, :, None]
-    return w.reshape(2, *lead, 2 * dim, dim)
+        if q < len(chunks) - 1:  # before B_q overwrites W
+            np.matmul(w, powers[-1], out=step)
+        np.matmul(chunks[q, 1:].T, baby, out=w.reshape(len(x), 2, dim * dim))
+        w += step
+        w.reshape(len(x), 2, dim * dim)[..., :: dim + 1] += chunks[q, 0][:, None]
+    return w.reshape(*lead, 2 * dim, dim)
 
 
 def _split(count: int) -> int:
-    """The s with the fewest products (s - 1) + 4 (ceil(count / s) - 1) for count coefficients."""
-    return min(range(1, count + 1), key=lambda s: s - 1 + 4 * (-(-count // s) - 1))
+    """The s with the fewest products (s - 1) + 2 (ceil(count / s) - 1) for count coefficients."""
+    return min(range(1, count + 1), key=lambda s: s - 1 + 2 * (-(-count // s) - 1))
 
 
 def _gram_defect(w: np.ndarray, ord: str | int = "fro") -> float:

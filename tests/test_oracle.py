@@ -1,6 +1,7 @@
 """Spectral ground truth and end-to-end verification verdicts."""
 
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -523,6 +524,41 @@ class TestMirroredComposite:
         eta = report.branch_unitarity_residual
         assert report.unitarity_residual >= eta * (2.0 + eta)
 
+    @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_RECORDS[1:])
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_certified_unitarity_bounds_a_defective_input(self, delta, epsilon, degree, dim):
+        # u = u0 S, S Hermitian with u^dagger u - I = S^2 - I of spectral norm 5e-11, which
+        # the unitarity check accepts: the report reads its defect off W+'s first column
+        syn, u0 = self.instance(delta, epsilon, degree, dim)
+        rng = np.random.default_rng(dim)
+        e = 5e-11 * rng.uniform(0.8, 1.0, size=dim) * rng.choice([-1.0, 1.0], size=dim)
+        e[0] = 5e-11
+        v = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        u = u0 @ (v * np.sqrt(1.0 + e)) @ v.conj().T
+        assert sim._gram_defect(u, 2) == pytest.approx(5e-11, rel=1e-4, abs=0.0)
+        report = verify_reflection(u, syn)
+        assert report.unitarity_residual >= sim._gram_defect(realize(syn.circuit, u), 2)
+
+    @pytest.mark.parametrize("delta, epsilon, degree, s", [
+        (math.pi / 4, 1e-2, 35, 9), (math.pi / 8, 1e-3, 91, 12)
+    ])
+    def test_verify_holds_one_block_column(self, delta, epsilon, degree, s):
+        # W+'s first column, `step` and the powers x, ..., x**s: (s + 4) dim^2 complex entries;
+        # one dim^2 more for the rest.  Both of W+'s columns would add 2 dim^2 and a larger s.
+        dim = 128
+        syn = synthesize(GapSpec(delta, theta=self.THETA, epsilon=epsilon))
+        assert syn.plan.degree == degree
+        u = random_gapped_unitary(SpectrumSpec(dim=dim, delta=delta, theta=self.THETA, seed=1))
+        verify_reflection(u, syn)  # the record's coefficients and counts, built on first use
+        tracemalloc.start()
+        try:
+            verify_reflection(u, syn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (s + 5) * dim * dim * 16
+        assert sim._split(degree + 1) == s
+
     @pytest.mark.parametrize("delta, epsilon, degree", MIRROR_RECORDS)
     def test_one_branch_walk_per_verify(self, monkeypatch, delta, epsilon, degree):
         # one W+ evaluation per verify, from coefficients built once per record
@@ -540,6 +576,7 @@ class TestMirroredComposite:
             assert verify_reflection(u, syn).bound_satisfied
         assert len(built) == 1 and built[0].shape == (degree + 1, 2, 2)
         assert len(walks) == 2 and all(c is syn.plus_coefficients for c in walks)
+        assert syn.plus_coefficients.shape == (degree + 1, 2)  # W+'s first column only
 
     def test_gates_counted_once_per_record(self, monkeypatch):
         syn, u = self.instance(*MIRROR_RECORDS[0], dim=8)
@@ -571,23 +608,23 @@ class TestMirroredComposite:
     def test_branch_residual_is_the_frobenius_gram_defect(
         self, monkeypatch, delta, epsilon, degree, dim
     ):
-        # W+ perturbed far above rounding, so that every Gram block counts
+        # W+'s first column perturbed far above rounding; the second is fixed by it, and its
+        # Gram blocks, exactly, by the first's: sqrt(2) ||A^dagger A + B^dagger B - I||_F
         syn, u = self.instance(delta, epsilon, degree, dim)
         rng, real, walks = np.random.default_rng(dim), oracle._evaluate_walk, []
 
         def perturbed(c, x):
-            shape = (2, 1, 2 * dim, dim)  # W+'s two block columns, of a stack of one
+            shape = (1, 2 * dim, dim)  # W+'s first block column, of a stack of one
             noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             walks.append(real(c, x) + 1e-6 / dim * noise)
             return walks[-1]
 
         monkeypatch.setattr(oracle, "_evaluate_walk", perturbed)
         branch = verify_reflection(u, syn).branch_unitarity_residual
-        [walk] = walks
-        w = np.concatenate(walk, axis=-1)[0]
-        whole = np.linalg.norm(w.conj().T @ w - np.eye(2 * dim))
-        assert 1e-7 < whole < 1e-5
-        assert branch == pytest.approx(whole, rel=1e-9, abs=0.0)
+        [[column]] = walks
+        first = np.linalg.norm(column.conj().T @ column - np.eye(dim))
+        assert 1e-7 < first < 1e-5
+        assert branch == pytest.approx(math.sqrt(2.0) * first, rel=1e-9, abs=0.0)
 
 
 class TestVerifyStack:

@@ -170,10 +170,10 @@ class TestAgainstDenseProduct:
 
     @pytest.mark.parametrize("dim", [1, 3, 8])
     @pytest.mark.parametrize(
-        "count, exact", [(1, True), (22, True), (23, False), (36, True), (37, False)]
+        "count, exact", [(1, True), (24, True), (22, False), (36, True), (37, False)]
     )
     def test_whole_and_padded_last_chunk(self, dim, count, exact):
-        # count = m + 1 = k s for the s chosen there (22 = 2 * 11, 36 = 3 * 12), or k s + 1
+        # count = m + 1 = k s for the s chosen there (24 = 4 * 6, 36 = 4 * 9), or k s + 4, k s + 5
         assert (count % _split(count) == 0) == exact
         exponent = 1 if count % 2 else -1
         circ = random_walk(np.random.default_rng(count), count - 1, exponent)
@@ -196,6 +196,32 @@ class TestAgainstDenseProduct:
         assert syn.plan.degree == degree
         u = random_unitary(dim, seed=500 + dim)
         assert np.max(np.abs(realize(syn.circuit, u) - dense_realize(syn.circuit, u))) <= 5e-12
+
+
+class TestSecondColumnIdentity:
+    """The plus walk's second block column is c X^d [-B^dagger; A^dagger] for its first [A; B]."""
+
+    @pytest.mark.parametrize("dim", [16, 32])
+    @pytest.mark.parametrize(
+        "gap, degree, tol",
+        [
+            (GapSpec(math.pi / 3, theta=0.6, epsilon=1e-3), 35, 1e-13),
+            (GapSpec(math.pi / 8, theta=0.7, epsilon=1e-3), 91, 1e-13),
+            (GapSpec(0.05, theta=-1.2, epsilon=0.1), 324, 5e-12),  # TestAgainstDenseProduct's
+        ],
+    )
+    def test_realized_walk_has_the_determinant_column(self, dim, gap, degree, tol):
+        # det R(theta, phi, lam) = -e^{i(phi + lam)}, det diag(1, e^{-i theta} x) = e^{-i theta} x
+        syn = synthesize(gap)
+        assert syn.plan.degree == degree
+        u = random_unitary(dim, seed=600 + dim)
+        w = realize(build_w(syn.plus, gap.theta), u)
+        a, b = w[:dim, :dim], w[dim:, :dim]
+        plus = syn.plus
+        c = np.exp(1j * plus.lambda_final) * np.prod(-np.exp(1j * np.array(plus.phis)))
+        xd = np.linalg.matrix_power(np.exp(-1j * gap.theta) * u, degree)
+        second = c * np.vstack([-xd @ b.conj().T, xd @ a.conj().T])
+        assert np.max(np.abs(w[:, dim:] - second)) <= tol
 
 
 def build_w_branches(t, n, phase_shift=0.0):
@@ -321,8 +347,8 @@ class TestRequireUnitary:
 class TestSplit:
     @staticmethod
     def products(count, s):
-        # s - 1 baby powers, then one 4 dim^3 Horner step per further chunk
-        return s - 1 + 4 * (math.ceil(count / s) - 1)
+        # s - 1 baby powers, then one 2 dim^3 Horner step, one block column, per further chunk
+        return s - 1 + 2 * (math.ceil(count / s) - 1)
 
     @pytest.mark.parametrize("count", [1, 2, 3, 22, 36, 136, 4097])
     def test_fewest_products(self, count):
@@ -330,7 +356,7 @@ class TestSplit:
         assert self.products(count, _split(count)) == best
 
     @pytest.mark.parametrize(
-        "count, s, products", [(22, 11, 14), (36, 12, 19), (136, 23, 42), (4097, 121, 252)]
+        "count, s, products", [(22, 6, 11), (36, 9, 14), (136, 17, 30), (4097, 82, 179)]
     )
     def test_plan_degrees(self, count, s, products):
         assert (_split(count), self.products(count, _split(count))) == (s, products)
@@ -339,4 +365,4 @@ class TestSplit:
         seen = []
         monkeypatch.setattr(sim, "_split", lambda count: seen.append(count) or _split(count))
         realize(random_walk(np.random.default_rng(0), 21, 1), random_unitary(2, seed=0))
-        assert seen == [22]
+        assert seen == [22, 22]  # one block column at a time
