@@ -103,9 +103,9 @@ def build_w(angles: GQSPAngleSequence, phase_shift: float = 0.0) -> CircuitIR:
     gates: list[Gate] = [
         AncillaRotation(angles.thetas[0], angles.phis[0], angles.lambda_final)
     ]
-    for k in range(1, len(angles.thetas)):
-        gates.append(ControlledOracle(1, phase_shift))
-        gates.append(AncillaRotation(angles.thetas[k], angles.phis[k], 0.0))
+    oracle = ControlledOracle(1, phase_shift)  # frozen, so one object serves every step
+    for theta, phi in zip(angles.thetas[1:], angles.phis[1:]):
+        gates += (oracle, AncillaRotation(theta, phi, 0.0))
     return CircuitIR(tuple(gates), declared_degree=angles.degree)
 
 

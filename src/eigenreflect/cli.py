@@ -4,7 +4,8 @@ This module owns every on-disk format: the plan/report/circuit/angle
 JSON schemas, the matrix file layout, and the sweep CSV.  All floats
 are rendered with 17 significant digits so files round-trip exactly,
 dictionary key order is fixed by construction, and every write is
-whole-file atomic (temp file in the target directory, then rename).
+whole-file atomic (temp file in the target directory, then rename) and
+gets the mode a plain open() would give.
 Given the same config and seed, outputs are byte-identical for a fixed
 BLAS thread count (the thread count can change the rounding of matrix
 products, hence the last digits of the reported floats).
@@ -35,7 +36,6 @@ import numpy as np
 from .circuit import (
     AncillaRotation,
     CircuitIR,
-    ControlledOracle,
     GateCounts,
     Synthesis,
     predicted_counts,
@@ -152,12 +152,43 @@ def _render_json(v: Any, indent: int = 0) -> str:
     return _render_scalar(v)
 
 
+# what _render_json writes for each gate's dict at the circuit's indent, each number as %.17g
+_ROTATION = (
+    '{\n      "g": "rot",\n      "theta": %.17g,\n      "phi": %.17g,\n      "lambda": %.17g\n    }'
+)
+_CU = '{\n      "g": "cu",\n      "phase": %.17g\n    }'
+_CU_DAG = '{\n      "g": "cu_dag",\n      "phase": %.17g\n    }'
+
+
+def _circuit_text(circ: CircuitIR) -> str:
+    """The circuit file's JSON: _render_json's bytes for its payload, from one format.
+
+    Every number is finite, so %.17g writes what _render_json would: the angles
+    come from atan2 and cmath.phase after factorize has checked its residual,
+    and GapSpec makes the phase theta finite.
+    """
+    templates, numbers = [], [circ.declared_degree]
+    for g in circ.gates:
+        if isinstance(g, AncillaRotation):
+            templates.append(_ROTATION)
+            numbers += (g.theta, g.phi, g.lam)
+        else:
+            templates.append(_CU if g.exponent == 1 else _CU_DAG)
+            numbers.append(g.phase_shift)
+    gates = "[\n    " + ",\n    ".join(templates) + "\n  ]" if templates else "[]"
+    text = '{\n  "degree": %d,\n  "gates": ' + gates + ',\n  "ancilla_count": 1\n}'
+    return text % tuple(numbers)
+
+
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".eigenreflect-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        umask = os.umask(0o022)  # the only way to read it: set, then restore at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open() gives, not mkstemp's 0600
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -243,23 +274,6 @@ def _plan_payload(plan: ReflectionPlan, t_formula: str) -> dict[str, Any]:
     }
 
 
-def _gate_payload(gate: AncillaRotation | ControlledOracle) -> dict[str, Any]:
-    if isinstance(gate, AncillaRotation):
-        return {"g": "rot", "theta": gate.theta, "phi": gate.phi, "lambda": gate.lam}
-    return {
-        "g": "cu" if gate.exponent == 1 else "cu_dag",
-        "phase": gate.phase_shift,
-    }
-
-
-def _circuit_payload(circ: CircuitIR) -> dict[str, Any]:
-    return {
-        "degree": circ.declared_degree,
-        "gates": [_gate_payload(g) for g in circ.gates],
-        "ancilla_count": 1,
-    }
-
-
 def _branch_payload(seq: GQSPAngleSequence) -> dict[str, Any]:
     return {
         "thetas": list(seq.thetas),
@@ -324,7 +338,7 @@ def cmd_plan(cfg: JobConfig) -> int:
 
 def cmd_synth(cfg: JobConfig) -> int:
     syn = synthesize(cfg.gap, use_paper_t_formula=cfg.use_paper_t_formula)
-    _emit(cfg.circuit_out or "circuit.json", _render_json(_circuit_payload(syn.circuit)) + "\n")
+    _emit(cfg.circuit_out or "circuit.json", _circuit_text(syn.circuit) + "\n")
     _emit(cfg.angles_out or "angles.json", _render_json(_angles_payload(syn)) + "\n")
     return EXIT_OK
 

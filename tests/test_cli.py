@@ -92,8 +92,27 @@ def reference_render_json(v, indent=0):
     return reference_render_scalar(v)
 
 
+def circuit_payload(circ):
+    """The circuit file as gate dicts, the payload cli._circuit_text must render as _render_json."""
+    gates = [
+        {"g": "rot", "theta": g.theta, "phi": g.phi, "lambda": g.lam}
+        if isinstance(g, circuit.AncillaRotation)
+        else {"g": "cu" if g.exponent == 1 else "cu_dag", "phase": g.phase_shift}
+        for g in circ.gates
+    ]
+    return {"degree": circ.declared_degree, "gates": gates, "ancilla_count": 1}
+
+
 # the (delta, epsilon) ladder of the synth benchmark: degrees 35 to 385
 SYNTH_LADDER = [(math.pi / k, eps) for k in (4, 8, 16, 32) for eps in (1e-2, 1e-3)]
+# (delta, epsilon, theta, paper formula): the ladder at theta = 0.5; phases 0 and -0 at
+# theta = 0, both signs at -pi/2 and pi; the published averaging length; no gates at all
+SYNTH_CASES = [
+    *(pytest.param(d, e, 0.5, False, id=f"{d}-{e}") for d, e in SYNTH_LADDER),
+    *(pytest.param(1.0, 0.1, x, False, id=f"theta={x}") for x in (0.0, -math.pi / 2, math.pi)),
+    pytest.param(1.0, 0.1, 0.5, True, id="paper"),
+    pytest.param(None, None, None, None, id="no-gates"),
+]
 
 
 class TestRendering:
@@ -115,10 +134,16 @@ class TestRendering:
         doc = {"a": [1, 2.5, {"b": []}], "c": {}, "d": "s"}
         assert json.loads(_render_json(doc)) == doc
 
-    @pytest.mark.parametrize("delta, epsilon", SYNTH_LADDER)
-    def test_synth_payloads_match_reference(self, delta, epsilon):
-        syn = circuit.synthesize(GapSpec(delta, theta=0.5, epsilon=epsilon))
-        for payload in (cli._circuit_payload(syn.circuit), cli._angles_payload(syn)):
+    @pytest.mark.parametrize("delta, epsilon, theta, paper", SYNTH_CASES)
+    def test_synth_payloads_match_reference(self, delta, epsilon, theta, paper):
+        if delta is None:
+            circ, angles = circuit.CircuitIR((), 0), []
+        else:
+            gap = GapSpec(delta, theta=theta, epsilon=epsilon)
+            syn = circuit.synthesize(gap, use_paper_t_formula=paper)
+            circ, angles = syn.circuit, [cli._angles_payload(syn)]
+        assert cli._circuit_text(circ) == reference_render_json(circuit_payload(circ))
+        for payload in angles:
             assert _render_json(payload) == reference_render_json(payload)
 
     def test_report_payloads_match_reference(self):
@@ -173,6 +198,24 @@ class TestMatrixIO:
         # row-major nested lists, one inner list per row
         assert len(doc["re"]) == 5 and all(len(row) == 5 for row in doc["re"])
         assert len(doc["im"]) == 5 and all(len(row) == 5 for row in doc["im"])
+
+
+class TestFileMode:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_outputs_take_the_mode_open_gives(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            code = main([
+                "synth", "--delta", "1", "--epsilon", "0.1",
+                "--circuit-out", str(tmp_path / "c.json"), "--angles-out", str(tmp_path / "a.json"),
+            ])
+            save_matrix(str(tmp_path / "m.json"), np.eye(2))
+            assert os.umask(umask) == umask  # the writes left it as they found it
+        finally:
+            os.umask(previous)
+        assert code == EXIT_OK
+        for name in ("c.json", "a.json", "m.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 class TestPlan:
