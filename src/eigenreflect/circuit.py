@@ -114,14 +114,18 @@ def adjoint(c: CircuitIR) -> CircuitIR:
 
     The rotation family is closed under inversion: the inverse of
     (theta, phi, lam) is (theta, -lam, -phi).  Oracle gates flip their
-    exponent and negate their phase.
+    exponent and negate their phase; a run of one oracle object, as
+    `build_w` makes, shares one inverted object.
     """
     inv: list[Gate] = []
+    last = flipped = None
     for g in reversed(c.gates):
         if isinstance(g, AncillaRotation):
             inv.append(AncillaRotation(g.theta, -g.lam, -g.phi))
         else:
-            inv.append(ControlledOracle(-g.exponent, -g.phase_shift))
+            if g is not last:
+                last, flipped = g, ControlledOracle(-g.exponent, -g.phase_shift)
+            inv.append(flipped)
     return CircuitIR(tuple(inv), declared_degree=c.declared_degree)
 
 
@@ -189,8 +193,8 @@ class Synthesis:
     Only the plus branch is stored; `branches` and `circuit` derive from it.
     The circuit is built on construction and cannot be passed in, so
     `dataclasses.replace(record, plus=...)` rebuilds it, and equality and
-    hash ignore it.  It is the plus walk, then the adjoint of the minus walk; `counts` and
-    `plus_coefficients`, from the plus angles and the plan's phase, are built on first use.
+    hash ignore it.  It is the plus walk, then the adjoint of the minus walk; `branches`,
+    `counts` and `plus_coefficients` are built once, on first use.
     """
 
     plan: ReflectionPlan
@@ -212,7 +216,7 @@ class Synthesis:
         p, theta = self.plus, self.plan.gap.theta
         return _walk_product(_walk_factors(p.thetas, p.phis, p.lambda_final, theta))[:, :, 0]
 
-    @property
+    @cached_property
     def branches(self) -> tuple[GQSPAngleSequence, GQSPAngleSequence]:
         """Angle sequences for the two walk branches of the reflection.
 

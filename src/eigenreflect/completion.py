@@ -83,16 +83,15 @@ class TrigPolynomial:
         return np.array(self.laurent_coeffs, dtype=complex)
 
     def values_on_grid(self, m: int) -> np.ndarray:
-        """Real values at the m-th roots of unity.
+        """Real values at the m-th roots of unity: one real inverse FFT.
 
-        The imaginary parts are rounding noise by Hermitian symmetry and
-        are dropped.
+        Re sum_k g_k z^k is the real signal of the Hermitian half
+        h_k = (g_k + conj(g_-k)) / 2, k >= 0, so rounding-level asymmetry drops out.
         """
         if m < len(self.laurent_coeffs):
             raise ValueError("grid too coarse for the stored order")
-        vals = m * np.fft.ifft(self.as_array(), m)
-        vals *= np.exp(-2j * np.pi * np.arange(m) * self.order / m)
-        return vals.real
+        g, d = self.as_array(), self.order
+        return np.fft.irfft(0.5 * (g[d:] + np.conj(g[d::-1])), m, norm="forward")
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ def factorize(gram: TrigPolynomial, tol: float = DEFAULT_COMPLETION_TOL) -> Comp
     # coefficient that can fall to rounding; its reflection keeps the
     # full degree
     phi = _fix_leading_phase(np.conj(phi[::-1]))
-    residual = float(np.max(np.abs(np.abs(m * np.fft.ifft(phi, m)) ** 2 - vals)))
+    residual = float(np.max(np.abs(np.abs(np.fft.ifft(phi, m, norm="forward")) ** 2 - vals)))
     if not residual <= tol:
         raise CompletionError(
             f"residual {residual:.3e} exceeds tolerance {tol:.3e}", residual
@@ -186,12 +185,10 @@ def _weiss_factor(vals: np.ndarray, degree: int) -> np.ndarray:
     """
     m = len(vals)
     vals = np.maximum(vals, np.min(vals, where=vals > 0.0, initial=1.0))
-    ell = np.fft.fft(np.log(vals)) / m
     half = np.zeros(m, dtype=complex)
-    half[0] = 0.5 * ell[0]
-    half[1 : m // 2] = ell[1 : m // 2]
-    half[m // 2] = 0.5 * ell[m // 2]
-    return (np.fft.fft(np.exp(m * np.fft.ifft(half))) / m)[: degree + 1]
+    half[: m // 2 + 1] = np.fft.rfft(np.log(vals), norm="forward")
+    half[[0, m // 2]] *= 0.5
+    return np.fft.fft(np.exp(np.fft.ifft(half, norm="forward")), norm="forward")[: degree + 1]
 
 
 def _fix_leading_phase(phi: np.ndarray) -> np.ndarray:

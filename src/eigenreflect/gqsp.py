@@ -90,35 +90,35 @@ def synthesize_angles(p: ComplexPolynomial, q: ComplexPolynomial) -> GQSPAngleSe
     """
     d = max(p.degree, q.degree)
     res = completion_residual(p, q, _grid_size(d))
-    if res > RESIDUAL_PRE_TOL:
+    if not res <= RESIDUAL_PRE_TOL:
         raise ValueError(
             f"pair is not complementary on the circle (residual {res:.3e})"
         )
-    pw = np.zeros(d + 1, dtype=complex)
-    qw = np.zeros(d + 1, dtype=complex)
-    pw[: p.degree + 1] = p.as_array()
-    qw[: q.degree + 1] = q.as_array()
-    thetas = np.zeros(d + 1)
-    phis = np.zeros(d + 1)
+    pq = np.zeros((2, d + 1), dtype=complex)
+    pq[0, : p.degree + 1] = p.as_array()
+    pq[1, : q.degree + 1] = q.as_array()
+    pw, qw = pq
+    on_p, on_q = np.empty((2, 1), dtype=complex), np.empty((2, 1))  # undo: on_p p + on_q q
+    thetas, phis = [], []
     for j in range(d, 0, -1):
-        top_p, top_q = pw[j], qw[j]
+        top_p, top_q = pw.item(j), qw.item(j)
         if abs(top_p) <= TOP_TOL and abs(top_q) <= TOP_TOL:
             raise ValueError(f"synthesis step {j}: both leading coefficients are at most {TOP_TOL}")
         theta = math.atan2(abs(top_p), abs(top_q))
         phi = cmath.phase(-top_p * top_q.conjugate())
-        thetas[j] = theta
-        phis[j] = phi
+        thetas.append(theta)
+        phis.append(phi)
         c, s = math.cos(theta), math.sin(theta)
         back = cmath.exp(-1j * phi)
-        new_p = (back * c) * pw + s * qw
-        new_q = (back * s) * pw - c * qw
-        pw = new_p[:j]
-        qw = new_q[1 : j + 1]
-    thetas[0] = math.atan2(abs(qw[0]), abs(pw[0]))
+        on_p[0, 0], on_p[1, 0], on_q[0, 0], on_q[1, 0] = back * c, back * s, s, -c
+        new = on_p * pw + on_q * qw
+        pw, qw = new[0, :j], new[1, 1:]
+    top_p, top_q = pw.item(0), qw.item(0)
     # an exact zero has no phase: the -0j of a negated zero partner would read as pi
-    lam = cmath.phase(qw[0]) if qw[0] != 0 else 0.0
-    phis[0] = cmath.phase(pw[0]) - lam if pw[0] != 0 else 0.0
-    return GQSPAngleSequence(thetas=tuple(thetas), phis=tuple(phis), lambda_final=lam)
+    lam = cmath.phase(top_q) if top_q != 0 else 0.0
+    thetas.append(math.atan2(abs(top_q), abs(top_p)))
+    phis.append(cmath.phase(top_p) - lam if top_p != 0 else 0.0)
+    return GQSPAngleSequence(thetas=tuple(thetas[::-1]), phis=tuple(phis[::-1]), lambda_final=lam)
 
 
 def reconstruct_polynomials(seq: GQSPAngleSequence) -> tuple[ComplexPolynomial, ComplexPolynomial]:

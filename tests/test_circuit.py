@@ -113,11 +113,18 @@ class TestAdjoint:
         _, (plus, _) = plan_branches(math.pi / 4, 1e-2)
         circ = build_w(plus, phase_shift=0.123)
         assert adjoint(adjoint(circ)) == circ
+        # a composite: two oracle objects, one per walk
+        syn = synthesize(GapSpec(math.pi / 4, theta=0.3, epsilon=1e-2))
+        assert adjoint(adjoint(syn.circuit)) == syn.circuit
 
     def test_flips_oracle_count_columns(self):
         _, (plus, _) = plan_branches(math.pi / 2, 0.1)
         counts = gate_counts(adjoint(build_w(plus)))
         assert counts == GateCounts(0, 9, 10)
+        # the adjoint tail shares one inverted oracle object
+        syn = synthesize(GapSpec(math.pi / 2, theta=0.7, epsilon=0.1))
+        tail = syn.circuit.gates[2 * syn.plan.degree + 1 :]
+        assert len({id(g) for g in tail if isinstance(g, ControlledOracle)}) == 1
 
 
 class TestBuildReflection:
@@ -166,6 +173,7 @@ class TestSynthesize:
         plus = synthesize_angles(syn.kernel, syn.completion.phi)
         assert syn.plus == plus
         assert syn.branches == (plus, theta_negated(plus))
+        assert syn.branches is syn.branches  # built once
         assert syn.circuit == build_reflection(plan, syn.branches)
         assert gate_counts(syn.circuit) == predicted_counts(plan)
         # the tail is built from the head, never passed in

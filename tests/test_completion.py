@@ -44,11 +44,16 @@ class TestTrigPolynomial:
         g = TrigPolynomial((0.25 - 0.1j, 0.5, 0.25 + 0.1j))
         assert g.order == 1
 
-    def test_grid_values_match_defect_pointwise(self):
-        ups = build_upsilon(3, 2)
+    @pytest.mark.parametrize("grid", ["2d+1", "2d+2", "64"])
+    @pytest.mark.parametrize("poly", ["kernel", "complex"])
+    def test_grid_values_match_defect_pointwise(self, poly, grid):
+        # odd and even grids down to the smallest legal one, real and complex coefficients
+        ups = build_upsilon(3, 2) if poly == "kernel" else random_complementary_pair(5, seed=7)[0]
         g = gram_polynomial(ups)
-        vals = g.values_on_grid(64)
-        direct = 1.0 - np.abs(eval_on_circle_grid(ups, 64)) ** 2
+        m = {"2d+1": 2 * g.order + 1, "2d+2": 2 * g.order + 2, "64": 64}[grid]
+        vals = g.values_on_grid(m)
+        direct = 1.0 - np.abs(eval_on_circle_grid(ups, m)) ** 2
+        assert vals.shape == (m,)
         np.testing.assert_allclose(vals, direct, atol=1e-12)
 
     def test_grid_too_coarse_rejected(self):

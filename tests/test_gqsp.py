@@ -1,5 +1,6 @@
 """Angle synthesis and reconstruction round-trips."""
 
+import cmath
 import math
 
 import numpy as np
@@ -69,9 +70,15 @@ class TestSynthesizeAngles:
         phi = factorize(gram_polynomial(ups)).phi
         assert roundtrip_error(ups, phi) <= 1e-9
 
-    def test_non_complementary_pair_rejected(self):
-        with pytest.raises(ValueError):
-            synthesize_angles(ComplexPolynomial((1.0,)), ComplexPolynomial((1.0,)))
+    @pytest.mark.parametrize(
+        "p, q",
+        [((1.0,), (1.0,)), ((0.6, math.nan), (0.8, 0.0)), ((0.6, 0.0), (0.8, math.nan))],
+        ids=["double", "nan-in-p", "nan-in-q"],
+    )
+    def test_non_complementary_pair_rejected(self, p, q):
+        # a NaN residual is no residual within tolerance
+        with pytest.raises(ValueError, match="not complementary"):
+            synthesize_angles(ComplexPolynomial(p), ComplexPolynomial(q))
 
     @pytest.mark.parametrize(
         "p, q",
@@ -233,3 +240,47 @@ class TestMirroredBranches:
         monkeypatch.setattr(circuit, "synthesize_angles", spy)
         syn = synthesize(GapSpec(delta, epsilon=epsilon))
         assert pairs == [(syn.kernel, syn.completion.phi)]
+
+
+def reference_peel(p, q):
+    """The peel as six allocating ufunc calls a step on numpy scalars: (thetas, phis, lam)."""
+    d = max(p.degree, q.degree)
+    pw, qw = padded(p, d + 1), padded(q, d + 1)
+    thetas, phis = np.zeros(d + 1), np.zeros(d + 1)
+    for j in range(d, 0, -1):
+        top_p, top_q = pw[j], qw[j]
+        theta = math.atan2(abs(top_p), abs(top_q))
+        phi = cmath.phase(-top_p * top_q.conjugate())
+        thetas[j], phis[j] = theta, phi
+        c, s = math.cos(theta), math.sin(theta)
+        back = cmath.exp(-1j * phi)
+        new_p = (back * c) * pw + s * qw
+        new_q = (back * s) * pw - c * qw
+        pw, qw = new_p[:j], new_q[1 : j + 1]
+    thetas[0] = math.atan2(abs(qw[0]), abs(pw[0]))
+    lam = cmath.phase(qw[0]) if qw[0] != 0 else 0.0
+    phis[0] = cmath.phase(pw[0]) - lam if pw[0] != 0 else 0.0
+    return tuple(map(float, thetas)), tuple(map(float, phis)), lam
+
+
+class TestPeelMatchesReference:
+    """The array peel does each coefficient's arithmetic exactly as the six-ufunc peel does."""
+
+    @pytest.mark.parametrize("delta, epsilon, degree", TestMirroredBranches.MIRROR_PLANS)
+    def test_plan_pairs(self, delta, epsilon, degree):
+        syn = synthesize(GapSpec(delta, epsilon=epsilon))
+        assert syn.plan.degree == degree
+        seq = synthesize_angles(syn.kernel, syn.completion.phi)
+        assert (seq.thetas, seq.phis, seq.lambda_final) == reference_peel(syn.kernel, syn.completion.phi)
+
+    @pytest.mark.parametrize("degree, seed", [(1, 0), (7, 1), (60, 2), (200, 3)])
+    def test_random_pairs(self, degree, seed):
+        p, q = random_complementary_pair(degree, seed=seed)
+        seq = synthesize_angles(p, q)
+        assert (seq.thetas, seq.phis, seq.lambda_final) == reference_peel(p, q)
+
+    @pytest.mark.parametrize("zero", [0j, complex(-0.0, -0.0)], ids=["zero", "negated-zero"])
+    def test_zero_partners(self, zero):
+        p, q = ComplexPolynomial((1.0,)), ComplexPolynomial((zero,))
+        seq = synthesize_angles(p, q)
+        assert (seq.thetas, seq.phis, seq.lambda_final) == reference_peel(p, q) == ((0.0,), (0.0,), 0.0)
