@@ -4,8 +4,9 @@ This module owns every on-disk format: the plan/report/circuit/angle
 JSON schemas, the matrix file layout, and the sweep CSV.  All floats
 are rendered with 17 significant digits so files round-trip exactly,
 dictionary key order is fixed by construction, and every write is
-whole-file atomic (temp file in the target directory, then rename) and
-gets the mode a plain open() would give.
+whole-file atomic (temp file in the target directory, then rename).  The
+temp file is created by open() itself, so it gets the mode the process
+umask gives, and no write reads or changes the umask.
 Given the same config and seed, outputs are byte-identical for a fixed
 BLAS thread count (the thread count can change the rounding of matrix
 products, hence the last digits of the reported floats).
@@ -21,12 +22,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Sequence
@@ -104,27 +103,6 @@ _SWEEP_COLUMNS = (
 _quote = json.encoder.encode_basestring_ascii  # json.dumps(s) of a str s, without its overhead
 
 
-def _render_scalar(v: Any) -> str:
-    t = type(v)
-    if t is float:
-        # JSON has no literal for nan and inf: they are written as strings
-        return format(v, ".17g") if math.isfinite(v) else _quote(str(v))
-    if t is str:
-        return _quote(v)
-    if t is int:
-        return str(v)
-    # bools, numpy scalars and subclasses; np.bool_ is none of these
-    if t is bool:
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _render_scalar(float(v))
-    if isinstance(v, str):
-        return _quote(v)
-    raise TypeError(f"cannot render {type(v).__name__} as JSON")
-
-
 def _render_values(values: Any, indent: int) -> list[str]:
     # finite floats, the bulk of every file, are formatted here without a call
     return [
@@ -134,6 +112,16 @@ def _render_values(values: Any, indent: int) -> list[str]:
 
 
 def _render_json(v: Any, indent: int = 0) -> str:
+    t = type(v)
+    if t is float:
+        # JSON has no literal for nan and inf: they are written as strings
+        return format(v, ".17g") if math.isfinite(v) else _quote(str(v))
+    if t is str:
+        return _quote(v)
+    if t is int:
+        return str(v)
+    if t is bool:
+        return "true" if v else "false"
     if isinstance(v, dict):
         if not v:
             return "{}"
@@ -149,7 +137,14 @@ def _render_json(v: Any, indent: int = 0) -> str:
         inner = "\n" + " " * (indent + 2)
         rows = _render_values(v, indent + 2)
         return "[" + inner + ("," + inner).join(rows) + "\n" + " " * indent + "]"
-    return _render_scalar(v)
+    # numpy scalars and subclasses; np.bool_ is none of these
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return _render_json(float(v))
+    if isinstance(v, str):
+        return _quote(v)
+    raise TypeError(f"cannot render {type(v).__name__} as JSON")
 
 
 # what _render_json writes for each gate's dict at the circuit's indent, each number as %.17g
@@ -182,13 +177,11 @@ def _circuit_text(circ: CircuitIR) -> str:
 
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".eigenreflect-", suffix=".part")
+    tmp = os.path.join(directory, f".eigenreflect-{os.urandom(8).hex()}.part")
+    fh = open(tmp, "x", encoding="utf-8")  # mode 0666 less the umask; if it fails, nothing is ours
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(text)
-        umask = os.umask(0o022)  # the only way to read it: set, then restore at once
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # the mode open() gives, not mkstemp's 0600
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -243,8 +236,8 @@ def save_matrix(path: str, u: np.ndarray) -> None:
         raise ValueError("expected a square matrix")
     payload = {
         "dim": int(u.shape[0]),
-        "re": [[float(x) for x in row] for row in u.real],
-        "im": [[float(x) for x in row] for row in u.imag],
+        "re": u.real.tolist(),
+        "im": u.imag.tolist(),
     }
     _write_atomic(path, _render_json(payload) + "\n")
 
@@ -364,8 +357,7 @@ def cmd_verify(cfg: JobConfig) -> int:
 
 
 def cmd_sweep(cfg: JobConfig) -> int:
-    buffer = io.StringIO()
-    buffer.write(",".join(_SWEEP_COLUMNS) + "\n")
+    lines = [",".join(_SWEEP_COLUMNS)]
     cache: dict[tuple[float, float], Synthesis] = {}
     failed = violated = 0
     for delta in cfg.deltas:
@@ -375,10 +367,10 @@ def cmd_sweep(cfg: JobConfig) -> int:
                 for i in range(0, len(cfg.seeds), size):
                     seeds = cfg.seeds[i : i + size]
                     for row in _sweep_rows(cfg, delta, epsilon, dim, seeds, cache):
-                        buffer.write(",".join(row[name] for name in _SWEEP_COLUMNS) + "\n")
+                        lines.append(",".join(row[name] for name in _SWEEP_COLUMNS))
                         failed += row["measured_error"] == ""
                         violated += row["satisfied"] != "true"
-    _emit(cfg.csv_out, buffer.getvalue())
+    _emit(cfg.csv_out, "\n".join(lines) + "\n")
     if failed:
         print(f"sweep: {failed} row(s) failed to run", file=sys.stderr)
         return EXIT_SWEEP_ROWS_FAILED

@@ -114,14 +114,15 @@ def gram_polynomial(upsilon: ComplexPolynomial) -> TrigPolynomial:
     return TrigPolynomial(tuple(g))
 
 
-def factorize(gram: TrigPolynomial, tol: float = DEFAULT_COMPLETION_TOL) -> CompletionResult:
+def factorize(gram: TrigPolynomial) -> CompletionResult:
     """Polynomial of degree gram.order whose squared circle modulus is gram.
 
     The nonnegativity check (ValueError below -1e-9: a modulus above 1),
     the Weiss step and the residual check read one set of grid values.
     The leading coefficient is rotated real and nonnegative, pinning the
     free global phase.  Raises CompletionError, carrying the residual
-    achieved, when it exceeds tol; a defect not positive off z = 1 ends there.
+    achieved, when it exceeds DEFAULT_COMPLETION_TOL (read at each call);
+    a defect not positive off z = 1 ends there.
     """
     g = gram.as_array()
     d = gram.order
@@ -143,9 +144,9 @@ def factorize(gram: TrigPolynomial, tol: float = DEFAULT_COMPLETION_TOL) -> Comp
     # full degree
     phi = _fix_leading_phase(np.conj(phi[::-1]))
     residual = float(np.max(np.abs(np.abs(np.fft.ifft(phi, m, norm="forward")) ** 2 - vals)))
-    if not residual <= tol:
+    if not residual <= DEFAULT_COMPLETION_TOL:
         raise CompletionError(
-            f"residual {residual:.3e} exceeds tolerance {tol:.3e}", residual
+            f"residual {residual:.3e} exceeds tolerance {DEFAULT_COMPLETION_TOL:.3e}", residual
         )
     return CompletionResult(phi=ComplexPolynomial(tuple(phi)), residual=residual)
 

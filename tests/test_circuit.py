@@ -1,13 +1,12 @@
 """Structural checks on the gate-level representation."""
 
-import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from eigenreflect import circuit
+from eigenreflect import circuit, completion
 from eigenreflect.circuit import (
     AncillaRotation,
     CircuitIR,
@@ -211,7 +210,7 @@ class TestSynthesize:
 
     def test_completion_tol_is_applied(self, monkeypatch):
         # the real completion, held to a residual no plan reaches
-        monkeypatch.setattr(circuit, "factorize", functools.partial(factorize, tol=1e-18))
+        monkeypatch.setattr(completion, "DEFAULT_COMPLETION_TOL", 1e-18)
         with pytest.raises(CompletionError):
             synthesize(GapSpec(math.pi / 2, epsilon=0.01))
 

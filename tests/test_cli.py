@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import functools
 import json
 import math
 import os
@@ -28,7 +27,6 @@ from eigenreflect.cli import (
     EXIT_SWEEP_ROWS_FAILED,
     EXIT_TARGET_ABSENT,
     _render_json,
-    _render_scalar,
     load_matrix,
     main,
     save_matrix,
@@ -39,8 +37,8 @@ from eigenreflect.testgen import SpectrumSpec, random_gapped_unitary
 
 PI_HALF = repr(math.pi / 2)
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-# the real completion, held to a residual no plan reaches
-UNREACHABLE_FACTORIZE = functools.partial(completion.factorize, tol=1e-18)
+# a completion residual no plan reaches
+UNREACHABLE_TOL = 1e-18
 
 
 def child_env():
@@ -57,7 +55,7 @@ def run_plan(tmp_path, *extra):
 
 
 def reference_render_scalar(v):
-    """A plain isinstance renderer: the byte reference for cli._render_scalar."""
+    """A plain isinstance renderer: the byte reference for cli._render_json on a scalar."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
@@ -117,18 +115,18 @@ SYNTH_CASES = [
 
 class TestRendering:
     def test_scalar_forms(self):
-        assert _render_scalar(True) == "true"
-        assert _render_scalar(False) == "false"
-        assert _render_scalar(3) == "3"
-        assert _render_scalar(0.1) == "0.10000000000000001"
-        assert _render_scalar(float("nan")) == '"nan"'
-        assert _render_scalar("x") == '"x"'
+        assert _render_json(True) == "true"
+        assert _render_json(False) == "false"
+        assert _render_json(3) == "3"
+        assert _render_json(0.1) == "0.10000000000000001"
+        assert _render_json(float("nan")) == '"nan"'
+        assert _render_json("x") == '"x"'
         with pytest.raises(TypeError):
-            _render_scalar(object())
+            _render_json(object())
 
     def test_float_round_trips_exactly(self):
         for x in (math.pi, 1e-300, -7.25, 0.1 + 0.2):
-            assert float(_render_scalar(x)) == x
+            assert float(_render_json(x)) == x
 
     def test_nested_structure_is_valid_json(self):
         doc = {"a": [1, 2.5, {"b": []}], "c": {}, "d": "s"}
@@ -201,21 +199,67 @@ class TestMatrixIO:
 
 
 class TestFileMode:
-    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
     def test_outputs_take_the_mode_open_gives(self, tmp_path, umask):
+        gap = ["--delta", "1", "--epsilon", "0.1"]
+        runs = [
+            ["plan", *gap, "--out", str(tmp_path / "p.json")],
+            ["synth", *gap,
+             "--circuit-out", str(tmp_path / "c.json"), "--angles-out", str(tmp_path / "a.json")],
+            ["verify", *gap, "--dim", "4", "--out", str(tmp_path / "r.json")],
+            ["sweep", "--deltas", "1", "--epsilons", "0.1", "--dims", "4", "--seeds", "0",
+             "--csv-out", str(tmp_path / "s.csv")],
+        ]
         previous = os.umask(umask)
         try:
-            code = main([
-                "synth", "--delta", "1", "--epsilon", "0.1",
-                "--circuit-out", str(tmp_path / "c.json"), "--angles-out", str(tmp_path / "a.json"),
-            ])
+            codes = [main(args) for args in runs]
             save_matrix(str(tmp_path / "m.json"), np.eye(2))
             assert os.umask(umask) == umask  # the writes left it as they found it
         finally:
             os.umask(previous)
-        assert code == EXIT_OK
-        for name in ("c.json", "a.json", "m.json"):
+        assert codes == [EXIT_OK] * len(runs)
+        for name in ("p.json", "c.json", "a.json", "r.json", "s.csv", "m.json"):
             assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_a_write_inside_another_takes_the_umask(self, tmp_path, monkeypatch):
+        # a writer that sets the process umask to read it lets a write that runs
+        # in between (another thread's, say) create its file under the wrong mask
+        real_umask, pending = os.umask, [str(tmp_path / "inner.json")]
+
+        def umask_with_a_write_inside(mask):
+            previous = real_umask(mask)
+            if pending:
+                save_matrix(pending.pop(), np.eye(2))
+            return previous
+
+        monkeypatch.setattr(os, "umask", umask_with_a_write_inside)
+        previous = real_umask(0o077)
+        try:
+            save_matrix(str(tmp_path / "outer.json"), np.eye(2))
+            if pending:  # the writer never called os.umask: the second write follows
+                save_matrix(pending.pop(), np.eye(2))
+            assert real_umask(0o077) == 0o077
+        finally:
+            real_umask(previous)
+        for name in ("outer.json", "inner.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o600
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
+        (tmp_path / "taken").mkdir()
+        code = main(["plan", "--delta", "1", "--epsilon", "0.1", "--out", str(tmp_path / "taken")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert os.listdir(tmp_path) == ["taken"] and os.listdir(tmp_path / "taken") == []
+
+    def test_temp_name_taken_is_left_alone(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+        taken = tmp_path / f".eigenreflect-{bytes(8).hex()}.part"
+        taken.write_text("someone else's")
+        code = main(["plan", "--delta", "1", "--epsilon", "0.1", "--out", str(tmp_path / "p.json")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert os.listdir(tmp_path) == [taken.name]
+        assert taken.read_text() == "someone else's"
 
 
 class TestPlan:
@@ -476,7 +520,7 @@ class TestVerify:
         assert first.read_bytes() == second.read_bytes()
 
     def test_unreachable_completion_tolerance(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(circuit, "factorize", UNREACHABLE_FACTORIZE)
+        monkeypatch.setattr(completion, "DEFAULT_COMPLETION_TOL", UNREACHABLE_TOL)
         out = tmp_path / "r.json"
         code = main([
             "verify", "--dim", "4", "--delta", PI_HALF, "--epsilon", "0.01", "--out", str(out),
@@ -835,7 +879,7 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unreachable_completion_tolerance_fails_rows(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(circuit, "factorize", UNREACHABLE_FACTORIZE)
+        monkeypatch.setattr(completion, "DEFAULT_COMPLETION_TOL", UNREACHABLE_TOL)
         code, rows, _ = self.run_sweep(tmp_path, deltas="1", epsilons="0.1", dims="4", seeds="0,1")
         assert code == EXIT_SWEEP_ROWS_FAILED
         assert [r["measured_error"] for r in rows] == ["", ""]

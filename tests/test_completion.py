@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from eigenreflect import completion
 from eigenreflect.completion import (
     CompletionError,
     TrigPolynomial,
@@ -114,17 +115,18 @@ class TestFactorize:
             res = factorize(gram_polynomial(ups))
             assert res.phi.degree <= ups.degree
 
-    def test_unreachable_tolerance_reports_achieved_residual(self):
+    def test_unreachable_tolerance_reports_achieved_residual(self, monkeypatch):
         plan = select_parameters(GapSpec(delta=math.pi / 2, epsilon=1e-2))
+        monkeypatch.setattr(completion, "DEFAULT_COMPLETION_TOL", 1e-18)
         with pytest.raises(CompletionError) as info:
-            factorize(gram_polynomial(build_upsilon(plan.t, plan.n)), tol=1e-18)
+            factorize(gram_polynomial(build_upsilon(plan.t, plan.n)))
         assert info.value.achieved_residual > 1e-18
 
     def test_negative_dip_is_rejected_before_factoring(self):
         # a gram that dips below zero on the grid has no factorization
         gram = TrigPolynomial((-0.25, 0.5 - 1e-4, -0.25))
         with pytest.raises(ValueError, match="modulus exceeds 1"):
-            factorize(gram, tol=1e-10)
+            factorize(gram)
 
     def test_modulus_profile_is_idempotent(self):
         p, phi = random_complementary_pair(10, seed=3)
@@ -221,12 +223,13 @@ class TestPartnerDegree:
 
 class TestZeroOffOne:
     @pytest.mark.parametrize("tol", [1e-10, 1e-2])
-    def test_meets_tolerance_or_raises(self, tol):
+    def test_meets_tolerance_or_raises(self, tol, monkeypatch):
         # 1 - |(1 + z^2)/2|^2 = sin^2(lam) also vanishes at z = -1, where
         # the log the factorization takes is singular
         p = ComplexPolynomial((0.5, 0.0, 0.5))
+        monkeypatch.setattr(completion, "DEFAULT_COMPLETION_TOL", tol)
         try:
-            res = factorize(gram_polynomial(p), tol=tol)
+            res = factorize(gram_polynomial(p))
         except CompletionError as exc:
             assert exc.achieved_residual > tol
         else:
